@@ -2,12 +2,10 @@
 codes, with brute-force verification of the error-correcting claims."""
 
 from . import bounds, extraction, formats, gf2, lincode, pauli, stabilizer, statevec
-from ._kernels import backend
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend",
     "bounds",
     "extraction",
     "formats",

@@ -1,11 +1,13 @@
-"""Hot enumeration kernels, numba-jitted with pure-numpy fallbacks.
+"""Hot enumeration kernels, vectorized with numpy.
 
-Every kernel exists twice: a ``*_py`` vectorized-numpy implementation and a
-numba ``@njit`` implementation.  The module-level public names dispatch to
-the jitted versions when numba imports cleanly and ``STAB2LIN_DISABLE_NUMBA``
-is unset; otherwise they fall back to numpy.  Both variants stay importable
-so tests can cross-check them and ``benchmarks/bench_kernels.py`` can time
-them side by side.
+- ``codeword_weight_hist``: weight histogram of all 2^k codewords.
+- ``normalizer_min_weight``: weight-ordered search for the quantum distance.
+- ``bsc_trial_successes`` and ``leader_trial_successes``: the two Monte Carlo
+  decoders for the binary symmetric channel.  The first compares each trial
+  with all 2^k codewords; the second looks the trial's syndrome up in a
+  coset-leader table over the 2^(n-k) syndromes.  Both draw their bit flips
+  from the same counter-based stream, so on one code they return the same
+  count; :func:`stab2lin.lincode.bsc_monte_carlo` runs whichever is cheaper.
 
 Packing convention (shared with :mod:`stab2lin.gf2`): column ``c`` of a bit
 row lives in uint64 word ``c // 64`` at bit ``c % 64``.
@@ -13,28 +15,17 @@ row lives in uint64 word ``c // 64`` at bit ``c % 64``.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations, product
+from math import ceil
 
 import numpy as np
 
 from . import gf2
 
-ENV_FLAG = "STAB2LIN_DISABLE_NUMBA"
-
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U53 = 1.0 / 9007199254740992.0  # 2**-53
 
-
-def _flag_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 def _popcount_words(packed: np.ndarray) -> np.ndarray:
     return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
@@ -52,7 +43,7 @@ def _doubling_table(rows_packed: np.ndarray, upto: int) -> np.ndarray:
     return table
 
 
-def codeword_weight_hist_py(rows: np.ndarray, n: int) -> np.ndarray:
+def codeword_weight_hist(rows: np.ndarray, n: int) -> np.ndarray:
     """Hamming-weight histogram over all 2^k codewords of a generator matrix."""
     packed = gf2.pack_rows(rows)
     k = packed.shape[0]
@@ -68,40 +59,7 @@ def codeword_weight_hist_py(rows: np.ndarray, n: int) -> np.ndarray:
     return hist
 
 
-def coset_min_weight_hist_py(syndrome_cols: np.ndarray, n: int, n_minus_k: int) -> np.ndarray:
-    """Histogram, by weight, of error patterns that are minimum-weight in their coset.
-
-    ``syndrome_cols[j]`` is the syndrome of the single-bit pattern e_j packed
-    into an int64.  Sweeps all 2^n patterns.
-    """
-    cols = np.asarray(syndrome_cols, dtype=np.int64)
-    base = min(n, 22)
-    syn_tab = np.zeros(1 << base, dtype=np.int64)
-    for j in range(base):
-        syn_tab[1 << j : 2 << j] = syn_tab[: 1 << j] ^ cols[j]
-    w_tab = np.bitwise_count(np.arange(1 << base, dtype=np.uint64)).astype(np.int64)
-    minw = np.full(1 << n_minus_k, n + 1, dtype=np.int64)
-    highs = range(1 << (n - base))
-    for hi in highs:
-        syn_hi = 0
-        for j in range(n - base):
-            if (hi >> j) & 1:
-                syn_hi ^= int(cols[base + j])
-        w = w_tab + int(hi).bit_count()
-        np.minimum.at(minw, syn_tab ^ syn_hi, w)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for hi in highs:
-        syn_hi = 0
-        for j in range(n - base):
-            if (hi >> j) & 1:
-                syn_hi ^= int(cols[base + j])
-        w = w_tab + int(hi).bit_count()
-        at_min = w == minw[syn_tab ^ syn_hi]
-        hist += np.bincount(w[at_min], minlength=n + 1)
-    return hist
-
-
-def normalizer_min_weight_py(
+def normalizer_min_weight(
     gens: np.ndarray, span_rows: np.ndarray, span_pivots: np.ndarray, n: int, cap: int
 ) -> int:
     """Minimum Pauli weight of a vector commuting with all generators but
@@ -139,32 +97,41 @@ def normalizer_min_weight_py(
     return 0
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _trial_flips(n: int, delta: float, start: int, stop: int, seed: int) -> np.ndarray:
+    """Bit flips of trials ``start .. stop-1`` as a (stop - start) x n bool array.
+
+    Bit ``j`` of trial ``i`` flips when u < delta, where u = (z >> 11) * 2^-53
+    and z is splitmix64 of (i * n + j + 1) * golden + seed.  It is a pure
+    function of (seed, i * n + j), so any split of the trials into chunks
+    draws the same flips.
+    """
+    z = np.arange(start * n + 1, stop * n + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    # z >> 11 < 2^53, and delta * 2^53 <= 2^52 is exact, so u < delta holds
+    # iff z >> 11 < ceil(delta * 2^53), i.e. iff z < ceil(delta * 2^53) << 11
+    return (z < np.uint64(ceil(delta * 2**53) << 11)).reshape(stop - start, n)
 
 
-def bsc_trial_successes_py(
+def bsc_trial_successes(
     codewords: np.ndarray, n: int, delta: float, trials: int, seed: int
 ) -> int:
     """Number of trials where the zero codeword's message is recovered.
 
-    Trial randomness is a pure function of (seed, trial index, bit index), so
-    the count is independent of any batching or scheduling.
+    Each trial is decoded against every row of ``codewords`` (indexed by
+    message, message 0 first); it succeeds when the first nearest row is row 0.
     """
     ncw, words = codewords.shape
     chunk = max(1, (1 << 22) // max(ncw, 1))
     succ = 0
     for start in range(0, trials, chunk):
         stop = min(trials, start + chunk)
-        counters = (
-            np.arange(start * n, stop * n, dtype=np.uint64) + np.uint64(1)
-        ) * _GOLDEN + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        u = (_mix64_np(counters) >> np.uint64(11)).astype(np.float64) * _U53
-        flips = (u < delta).reshape(stop - start, n)
+        flips = _trial_flips(n, delta, start, stop, seed)
         err = np.zeros((stop - start, words), dtype=np.uint64)
         for j in range(n):
             err[:, j // 64] |= flips[:, j].astype(np.uint64) << np.uint64(j % 64)
@@ -175,266 +142,27 @@ def bsc_trial_successes_py(
     return succ
 
 
-_PY_IMPLS = {
-    "codeword_weight_hist": codeword_weight_hist_py,
-    "coset_min_weight_hist": coset_min_weight_hist_py,
-    "normalizer_min_weight": normalizer_min_weight_py,
-    "bsc_trial_successes": bsc_trial_successes_py,
-}
+def leader_trial_successes(
+    syndrome_cols: np.ndarray,
+    leader_weight: np.ndarray,
+    n: int,
+    delta: float,
+    trials: int,
+    seed: int,
+) -> int:
+    """The count of :func:`bsc_trial_successes`, by syndrome lookup.
 
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-NUMBA_AVAILABLE = False
-_JIT_IMPLS: dict = {}
-
-if not _flag_disabled():
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        NUMBA_AVAILABLE = False
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, inline="always")
-    def _popcount64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @njit(cache=True)
-    def _codeword_weight_hist_jit(packed, n):
-        k, words = packed.shape
-        hist = np.zeros(n + 1, dtype=np.int64)
-        cur = np.zeros(words, dtype=np.uint64)
-        w = 0
-        hist[0] += 1
-        for t in range(1, 1 << k):
-            j = 0
-            while not (t >> j) & 1:
-                j += 1
-            w = 0
-            for it in range(words):
-                cur[it] ^= packed[j, it]
-                w += int(_popcount64(cur[it]))
-            hist[w] += 1
-        return hist
-
-    @njit(cache=True)
-    def _coset_min_weight_hist_jit(cols, n, n_minus_k):
-        minw = np.full(1 << n_minus_k, n + 1, dtype=np.int64)
-        total = 1 << n
-        syn = np.int64(0)
-        ebits = np.int64(0)
-        w = 0
-        minw[0] = 0
-        for t in range(1, total):
-            j = 0
-            while not (t >> j) & 1:
-                j += 1
-            if (ebits >> j) & 1:
-                w -= 1
-            else:
-                w += 1
-            ebits ^= np.int64(1) << j
-            syn ^= cols[j]
-            if w < minw[syn]:
-                minw[syn] = w
-        hist = np.zeros(n + 1, dtype=np.int64)
-        hist[0] += 1
-        syn = np.int64(0)
-        ebits = np.int64(0)
-        w = 0
-        for t in range(1, total):
-            j = 0
-            while not (t >> j) & 1:
-                j += 1
-            if (ebits >> j) & 1:
-                w -= 1
-            else:
-                w += 1
-            ebits ^= np.int64(1) << j
-            syn ^= cols[j]
-            if w == minw[syn]:
-                hist[w] += 1
-        return hist
-
-    @njit(cache=True)
-    def _normalizer_min_weight_jit(ga, gb, span, piv_word, piv_bit, n, cap):
-        m = ga.shape[0]
-        words = ga.shape[1]
-        nrows = span.shape[0]
-        aw = np.zeros(words, dtype=np.uint64)
-        bw = np.zeros(words, dtype=np.uint64)
-        cand = np.zeros(2 * words, dtype=np.uint64)
-        pos = np.zeros(cap, dtype=np.int64)
-        letters = np.zeros(cap, dtype=np.int64)
-        for w in range(1, cap + 1):
-            for i in range(w):
-                pos[i] = i
-            while True:
-                for i in range(w):
-                    letters[i] = 0
-                while True:
-                    for it in range(words):
-                        aw[it] = 0
-                        bw[it] = 0
-                    for i in range(w):
-                        word = pos[i] // 64
-                        bit = np.uint64(1) << np.uint64(pos[i] % 64)
-                        if letters[i] != 2:
-                            aw[word] |= bit
-                        if letters[i] != 0:
-                            bw[word] |= bit
-                    ok = True
-                    for g in range(m):
-                        par = np.uint64(0)
-                        for it in range(words):
-                            par ^= _popcount64(aw[it] & gb[g, it]) ^ _popcount64(
-                                bw[it] & ga[g, it]
-                            )
-                        if par & np.uint64(1):
-                            ok = False
-                            break
-                    if ok:
-                        for it in range(words):
-                            cand[it] = aw[it]
-                            cand[words + it] = bw[it]
-                        for i in range(nrows):
-                            if (cand[piv_word[i]] >> piv_bit[i]) & np.uint64(1):
-                                for it in range(2 * words):
-                                    cand[it] ^= span[i, it]
-                        nonzero = False
-                        for it in range(2 * words):
-                            if cand[it]:
-                                nonzero = True
-                                break
-                        if nonzero:
-                            return w
-                    i = w - 1
-                    while i >= 0 and letters[i] == 2:
-                        letters[i] = 0
-                        i -= 1
-                    if i < 0:
-                        break
-                    letters[i] += 1
-                i = w - 1
-                while i >= 0 and pos[i] == n - w + i:
-                    i -= 1
-                if i < 0:
-                    break
-                pos[i] += 1
-                for j in range(i + 1, w):
-                    pos[j] = pos[j - 1] + 1
-        return 0
-
-    @njit(cache=True)
-    def _bsc_trial_successes_jit(codewords, n, delta, trials, seed):
-        ncw, words = codewords.shape
-        err = np.zeros(words, dtype=np.uint64)
-        succ = 0
-        golden = np.uint64(0x9E3779B97F4A7C15)
-        for i in range(trials):
-            for it in range(words):
-                err[it] = 0
-            for j in range(n):
-                z = (np.uint64(i * n + j) + np.uint64(1)) * golden + np.uint64(seed)
-                z = z ^ (z >> np.uint64(30))
-                z = z * np.uint64(0xBF58476D1CE4E5B9)
-                z = z ^ (z >> np.uint64(27))
-                z = z * np.uint64(0x94D049BB133111EB)
-                z = z ^ (z >> np.uint64(31))
-                u = np.float64(z >> np.uint64(11)) * 1.1102230246251565e-16
-                if u < delta:
-                    err[j // 64] |= np.uint64(1) << np.uint64(j % 64)
-            best_d = n + 1
-            best_m = 0
-            for c in range(ncw):
-                d = 0
-                for it in range(words):
-                    d += int(_popcount64(err[it] ^ codewords[c, it]))
-                if d < best_d:
-                    best_d = d
-                    best_m = c
-            if best_m == 0:
-                succ += 1
-        return succ
-
-    def codeword_weight_hist_jit(rows: np.ndarray, n: int) -> np.ndarray:
-        return _codeword_weight_hist_jit(gf2.pack_rows(rows), n)
-
-    def coset_min_weight_hist_jit(syndrome_cols, n: int, n_minus_k: int) -> np.ndarray:
-        return _coset_min_weight_hist_jit(
-            np.asarray(syndrome_cols, dtype=np.int64), n, n_minus_k
-        )
-
-    def normalizer_min_weight_jit(gens, span_rows, span_pivots, n: int, cap: int) -> int:
-        gens = np.asarray(gens, dtype=np.uint8).reshape(-1, 2 * n)
-        span_rows = np.asarray(span_rows, dtype=np.uint8).reshape(-1, 2 * n)
-        words = max(1, (n + 63) // 64)
-        ga = gf2.pack_rows(gens[:, :n])
-        gb = gf2.pack_rows(gens[:, n:])
-        span = np.hstack([gf2.pack_rows(span_rows[:, :n]), gf2.pack_rows(span_rows[:, n:])])
-        piv_word = np.zeros(len(span_pivots), dtype=np.int64)
-        piv_bit = np.zeros(len(span_pivots), dtype=np.uint64)
-        for i, p in enumerate(span_pivots):
-            half, c = (0, p) if p < n else (words, p - n)
-            piv_word[i] = half + c // 64
-            piv_bit[i] = c % 64
-        return int(
-            _normalizer_min_weight_jit(ga, gb, span, piv_word, piv_bit, n, max(cap, 0))
-        )
-
-    def bsc_trial_successes_jit(codewords, n: int, delta: float, trials: int, seed: int) -> int:
-        return int(
-            _bsc_trial_successes_jit(
-                np.ascontiguousarray(codewords, dtype=np.uint64),
-                n,
-                np.float64(delta),
-                trials,
-                np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-            )
-        )
-
-    _JIT_IMPLS = {
-        "codeword_weight_hist": codeword_weight_hist_jit,
-        "coset_min_weight_hist": coset_min_weight_hist_jit,
-        "normalizer_min_weight": normalizer_min_weight_jit,
-        "bsc_trial_successes": bsc_trial_successes_jit,
-    }
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def backend() -> str:
-    """Which implementation the public names dispatch to."""
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-def implementations() -> dict:
-    """All available implementations keyed by backend name, for benchmarks."""
-    out = {"numpy": _PY_IMPLS}
-    if NUMBA_AVAILABLE:
-        out["numba"] = _JIT_IMPLS
-    return out
-
-
-if NUMBA_AVAILABLE:
-    codeword_weight_hist = _JIT_IMPLS["codeword_weight_hist"]
-    coset_min_weight_hist = _JIT_IMPLS["coset_min_weight_hist"]
-    normalizer_min_weight = _JIT_IMPLS["normalizer_min_weight"]
-    bsc_trial_successes = _JIT_IMPLS["bsc_trial_successes"]
-else:
-    codeword_weight_hist = codeword_weight_hist_py
-    coset_min_weight_hist = coset_min_weight_hist_py
-    normalizer_min_weight = normalizer_min_weight_py
-    bsc_trial_successes = bsc_trial_successes_py
+    ``syndrome_cols[j]`` is the syndrome of the single-bit error e_j and
+    ``leader_weight[s]`` the minimum weight of the coset with syndrome s.  An
+    error e decodes to message 0 iff no codeword is strictly closer to it than
+    the zero codeword, i.e. iff wt(e) equals its coset's minimum weight.
+    """
+    cols = np.asarray(syndrome_cols, dtype=np.int64)
+    chunk = max(1, (1 << 20) // n)
+    succ = 0
+    for start in range(0, trials, chunk):
+        stop = min(trials, start + chunk)
+        flips = _trial_flips(n, delta, start, stop, seed)
+        syn = np.bitwise_xor.reduce(np.where(flips, cols, 0), axis=1)
+        succ += int((flips.sum(axis=1) == leader_weight[syn]).sum())
+    return succ

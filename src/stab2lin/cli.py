@@ -239,10 +239,18 @@ def distance(file, mode, cap, as_json):
         click.echo(f"d={result.distance} t={t}")
 
 
+def _delta_param(ctx, param, value):
+    if not 0.0 <= value <= 0.5:  # also rejects NaN
+        raise click.BadParameter(f"must be in [0, 1/2], got {value}")
+    return value
+
+
 @main.command()
 @click.argument("codefile", type=click.Path(exists=True, dir_okay=False))
-@click.option("--delta", required=True, type=float, help="bit-flip probability")
-@click.option("--trials", default=100_000, show_default=True, type=int)
+@click.option(
+    "--delta", required=True, type=float, callback=_delta_param, help="bit-flip probability"
+)
+@click.option("--trials", default=100_000, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--exact", is_flag=True, help="exact enumeration instead of Monte Carlo")
 @click.option("--json", "as_json", is_flag=True)

@@ -2,24 +2,34 @@
 nearest-codeword decoding, and binary-symmetric-channel performance.
 
 Decoding is complete nearest-codeword decoding (not bounded-distance), with
-ties broken toward the lexicographically smallest message.  Channel numbers
-are computed two ways: exact enumeration of all 2^n error patterns, and a
-Monte-Carlo estimator whose per-trial randomness is a pure function of
-(seed, trial index), so results do not depend on batching or scheduling.
+ties broken toward the lexicographically smallest message.  By linearity the
+channel is analysed for the zero codeword, where the tie-break favours the
+zero message: an error pattern is corrected iff it has minimum weight in its
+coset.  Both channel numbers rest on that coset-leader (standard-array) view
+over the 2^(n-k) syndromes:
+
+- exact: the leader weights and leader counts of every coset give the
+  histogram of corrected patterns by weight, for n - k <= NK_EXACT_LIMIT;
+- Monte Carlo: when k >= n - k, a trial succeeds iff its weight equals the
+  leader weight of its syndrome; when k < n - k, comparing each trial with
+  the 2^k codewords is cheaper, and that path runs instead.  Per-trial
+  randomness is a pure function of (seed, trial index), so the count does not
+  depend on batching, scheduling or which path ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
 from . import _kernels, gf2
 
 K_ENUM_LIMIT = 28  # 2^k codeword sweeps
-N_EXACT_LIMIT = 24  # 2^n error-pattern sweeps
+NK_EXACT_LIMIT = 23  # 2^(n-k) coset-leader tables
 K_TABLE_LIMIT = 24  # in-memory codeword tables for decoding
+_CHUNK = 1 << 20  # array elements per frontier chunk in _leaders_by_search
 
 
 @dataclass(frozen=True)
@@ -142,6 +152,103 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
+@dataclass(frozen=True)
+class CosetLeaders:
+    """Coset-leader (standard-array) data over the 2^(n-k) syndromes.
+
+    Bit i of a syndrome is parity check i.  ``syndrome_cols[j]`` is the
+    syndrome of the single-bit error e_j, ``min_weight[s]`` the leader weight
+    of the coset with syndrome s, and ``count[s]`` the number of patterns of
+    that weight in it.
+    """
+
+    syndrome_cols: np.ndarray
+    min_weight: np.ndarray
+    count: np.ndarray
+
+
+def coset_leaders(g: GeneratorMatrix) -> CosetLeaders:
+    """Coset-leader table of ``g``, in O(min(n, 2^k) * 2^(n-k)) time and
+    O(2^(n-k)) memory.
+
+    Codes with 2^k <= 4n sweep their few codewords over all syndromes;
+    every other code is filled by a breadth-first search over the parity
+    checks.  Both give the same table; per syndrome, one search step costs
+    about as much as four codeword steps.
+    """
+    n, nk = g.n, g.n - g.k
+    if nk > NK_EXACT_LIMIT:
+        raise ValueError(
+            f"n - k = {nk} exceeds the exact-channel limit n - k <= {NK_EXACT_LIMIT}; "
+            "estimate it by Monte Carlo instead (bsc_monte_carlo, or simulate without --exact)"
+        )
+    # Leader weights never exceed n - k; w * count[s] must fit in an int64.
+    if max((w * comb(n, w) for w in range(1, nk + 1)), default=0) >= 1 << 63:
+        raise ValueError(f"n = {n} is too long for 64-bit leader counts at n - k = {nk}")
+    h = gf2.nullspace(g.rows).astype(np.int64)
+    cols = (h << np.arange(nk, dtype=np.int64)[:, None]).sum(axis=0)
+    if 1 << g.k <= 4 * n:
+        min_weight, count = _leaders_by_codewords(codeword_table(g), cols, n, nk)
+    else:
+        min_weight, count = _leaders_by_search(cols, n, nk)
+    return CosetLeaders(syndrome_cols=cols, min_weight=min_weight, count=count)
+
+
+def _leaders_by_search(cols: np.ndarray, n: int, nk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight-ordered breadth-first search from syndrome 0 over the columns.
+
+    Level w holds the syndromes first reached in w steps.  Each leader of a
+    weight-w coset s, minus any one of its w bits j, is a leader of the
+    weight-(w-1) coset s ^ h_j; conversely no leader of such a coset contains
+    bit j, or s would have weight w-2.  So
+    ``w * count[s] = sum_j [min_weight[s ^ h_j] == w-1] * count[s ^ h_j]``.
+    The frontier is expanded a bounded chunk at a time.
+    """
+    min_weight = np.full(1 << nk, -1, dtype=np.int8)
+    count = np.zeros(1 << nk, dtype=np.int64)
+    min_weight[0], count[0] = 0, 1
+    step = max(1, _CHUNK // n)
+    frontier = np.zeros(1, dtype=np.int64)
+    w = 0
+    while frontier.size:
+        w += 1
+        for lo in range(0, frontier.size, step):
+            nb = cols[:, None] ^ frontier[lo : lo + step]
+            min_weight[nb[min_weight[nb] < 0]] = w
+        frontier = np.flatnonzero(min_weight == w)
+        for lo in range(0, frontier.size, step):
+            s = frontier[lo : lo + step]
+            nb = cols[:, None] ^ s
+            pulled = np.where(min_weight[nb] == w - 1, count[nb], 0)
+            count[s] = pulled.sum(axis=0) // w
+    return min_weight, count
+
+
+def _leaders_by_codewords(
+    codewords: np.ndarray, cols: np.ndarray, n: int, nk: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The same table from the 2^k packed codewords, message 0 first.
+
+    ``gf2.nullspace`` puts an identity on the columns u_i that are free in
+    rref(G), so e_s, which sets u_i for each bit i of s, has syndrome s and
+    weight popcount(s), and coset s is e_s + C.  A codeword c that sets the
+    u_i of the bits of q and r other bits gives wt(e_s + c) = r + popcount(s ^ q).
+    """
+    unit = [int(np.flatnonzero(cols == 1 << i)[0]) for i in range(nk)]
+    bits = gf2.unpack_rows(codewords, n).astype(np.int64)
+    qs = (bits[:, unit] << np.arange(nk, dtype=np.int64)).sum(axis=1)
+    rests = bits.sum(axis=1) - bits[:, unit].sum(axis=1)
+    syn = np.arange(1 << nk, dtype=np.uint32)
+    min_weight = np.bitwise_count(syn).astype(np.int8)
+    count = np.ones(1 << nk, dtype=np.int64)
+    for q, rest in zip(qs[1:], rests[1:]):
+        wt = np.bitwise_count(syn ^ np.uint32(q)).astype(np.int8) + int(rest)
+        count[wt < min_weight] = 0
+        count += wt <= min_weight
+        np.minimum(min_weight, wt, out=min_weight)
+    return min_weight, count
+
+
 def correctable_weight_histogram(g: GeneratorMatrix) -> np.ndarray:
     """hist[w] = number of weight-w error patterns the decoder maps to the
     zero message, i.e. patterns of minimum weight within their coset.
@@ -149,25 +256,19 @@ def correctable_weight_histogram(g: GeneratorMatrix) -> np.ndarray:
     This is the delta-independent core of the exact channel computation;
     reuse it when evaluating several deltas.
     """
-    if g.n > N_EXACT_LIMIT:
-        raise ValueError(
-            f"n = {g.n} exceeds the exact-enumeration limit {N_EXACT_LIMIT}; "
-            "use bsc_monte_carlo instead"
-        )
-    h = gf2.nullspace(g.rows)
-    nk = h.shape[0]
-    cols = np.zeros(g.n, dtype=np.int64)
-    for j in range(g.n):
-        cols[j] = sum(int(h[i, j]) << i for i in range(nk))
-    return _kernels.coset_min_weight_hist(cols, g.n, nk)
+    table = coset_leaders(g)
+    hist = np.zeros(g.n + 1, dtype=np.int64)
+    np.add.at(hist, table.min_weight, table.count)
+    return hist
 
 
 def bsc_success_exact(g: GeneratorMatrix, delta: float) -> ChannelReport:
-    """Exact success probability by classifying every error pattern once.
+    """Exact success probability from the coset-leader table.
 
     By linearity the classification is done against the zero codeword: a
     pattern counts as corrected when nearest-codeword decoding (with its
-    lexicographic tie-break, which favors the zero message) returns message 0.
+    lexicographic tie-break, which favors the zero message) returns message 0,
+    i.e. when it has minimum weight in its coset.
     """
     delta = _check_delta(delta)
     hist = correctable_weight_histogram(g)
@@ -191,13 +292,20 @@ def bsc_monte_carlo(
 
     Transmits the zero codeword each trial (by linearity, as in the exact
     path), flips bits independently with probability delta, and counts trials
-    whose decode returns message 0.
+    whose decode returns message 0.  Decodes by syndrome lookup when
+    n - k <= k (and n - k <= NK_EXACT_LIMIT), against the codeword table
+    otherwise; both give the same count.
     """
     delta = _check_delta(delta)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    table = codeword_table(g)
-    succ = _kernels.bsc_trial_successes(table, g.n, delta, trials, seed)
+    if g.n - g.k <= min(g.k, NK_EXACT_LIMIT):
+        table = coset_leaders(g)
+        succ = _kernels.leader_trial_successes(
+            table.syndrome_cols, table.min_weight, g.n, delta, trials, seed
+        )
+    else:
+        succ = _kernels.bsc_trial_successes(codeword_table(g), g.n, delta, trials, seed)
     p = succ / trials
     return ChannelReport(
         delta=delta,

@@ -167,9 +167,28 @@ def test_simulate_deterministic():
     assert run(*args).output == run(*args).output
 
 
-def test_simulate_bad_delta_exit_one():
-    res = run("simulate", data_path("five_two.gmat"), "--delta", "0.7", "--exact")
+def test_simulate_bad_delta_exit_two():
+    for delta in ("0.7", "-0.1", "nan"):
+        for mode in ("--exact", "--json"):
+            res = run("simulate", data_path("five_two.gmat"), "--delta", delta, mode)
+            assert res.exit_code == 2, (delta, mode)
+            assert "[0, 1/2]" in res.output
+
+
+def test_simulate_bad_trials_exit_two():
+    for trials in ("0", "-5"):
+        res = run("simulate", data_path("five_two.gmat"), "--delta", "0.1", "--trials", trials)
+        assert res.exit_code == 2, trials
+
+
+def test_simulate_exact_limit_exit_one(tmp_path):
+    # a (25,1) code has 2^24 syndromes, past the exact-channel limit
+    path = tmp_path / "long.gmat"
+    path.write_text("1" + "0" * 24 + "\n", encoding="utf-8")
+    res = run("simulate", path, "--delta", "0.1", "--exact")
     assert res.exit_code == 1
+    assert "n - k" in res.output and "Monte Carlo" in res.output
+    assert run("simulate", path, "--delta", "0.1", "--trials", "200").exit_code == 0
 
 
 def test_verify_phi_passes():

@@ -1,64 +1,89 @@
-"""Cross-checks between the numba kernels and their pure-numpy fallbacks.
+"""Oracle tests: each vectorized kernel against a direct brute-force
+computation of the same quantity."""
 
-The two paths must agree bit-exactly: they are the package's internal
-dual-route safeguard.  Skipped pairwise when numba is unavailable.
-"""
-
-import os
-import subprocess
-import sys
+from itertools import product
+from math import comb
 
 import numpy as np
-import pytest
 
-from stab2lin import _kernels, gf2
+from stab2lin import _kernels, gf2, pauli
 from stab2lin.formats import load_generator
-from stab2lin.lincode import codeword_table
+from stab2lin.lincode import (
+    GeneratorMatrix,
+    codeword_table,
+    coset_leaders,
+    decode_nearest,
+    encode,
+)
 
 from util import data_path, random_stabilizer_code
 
-IMPLS = _kernels.implementations()
-HAVE_NUMBA = "numba" in IMPLS
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
+MASK64 = (1 << 64) - 1
 
 
-def test_backend_reports_numba():
-    assert _kernels.backend() == "numba"
+def explicit_weight_hist(rows, n):
+    """Oracle: encode every message and count codeword weights."""
+    g = GeneratorMatrix(rows)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for x in product((0, 1), repeat=g.k):
+        hist[int(encode(g, np.array(x, np.uint8)).sum())] += 1
+    return hist
 
 
-def test_codeword_weight_hist_agreement():
+def independent_rows(rng, k, n):
+    while True:
+        rows = rng.integers(0, 2, size=(k, n)).astype(np.uint8)
+        if gf2.rank(rows) == k:
+            return rows
+
+
+def test_codeword_weight_hist_matches_encode_oracle():
     rng = np.random.default_rng(0)
     for _ in range(25):
         k = int(rng.integers(1, 9))
         n = int(rng.integers(k, 20))
-        rows = rng.integers(0, 2, size=(k, n)).astype(np.uint8)
-        a = IMPLS["numpy"]["codeword_weight_hist"](rows, n)
-        b = IMPLS["numba"]["codeword_weight_hist"](rows, n)
-        assert np.array_equal(a, b)
-        assert a.sum() == 1 << k
+        rows = independent_rows(rng, k, n)
+        hist = _kernels.codeword_weight_hist(rows, n)
+        assert np.array_equal(hist, explicit_weight_hist(rows, n))
 
 
 def test_codeword_weight_hist_multiword():
     rng = np.random.default_rng(1)
-    rows = rng.integers(0, 2, size=(6, 130)).astype(np.uint8)
-    a = IMPLS["numpy"]["codeword_weight_hist"](rows, 130)
-    b = IMPLS["numba"]["codeword_weight_hist"](rows, 130)
-    assert np.array_equal(a, b)
+    rows = independent_rows(rng, 6, 130)
+    assert np.array_equal(
+        _kernels.codeword_weight_hist(rows, 130), explicit_weight_hist(rows, 130)
+    )
 
 
-def test_coset_min_weight_hist_agreement():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        nk = int(rng.integers(0, n))
-        cols = rng.integers(0, 1 << nk if nk else 1, size=n).astype(np.int64)
-        a = IMPLS["numpy"]["coset_min_weight_hist"](cols, n, nk)
-        b = IMPLS["numba"]["coset_min_weight_hist"](cols, n, nk)
-        assert np.array_equal(a, b)
+def test_codeword_weight_hist_gray_steps():
+    # k = 22 > 20 runs the Gray-code loop over the high rows; the code
+    # (I | I) has exactly C(22, w) codewords of weight 2w
+    rows = np.hstack([np.eye(22, dtype=np.uint8)] * 2)
+    expected = np.zeros(45, dtype=np.int64)
+    expected[::2] = [comb(22, w) for w in range(23)]
+    assert np.array_equal(_kernels.codeword_weight_hist(rows, 44), expected)
 
 
-def test_normalizer_min_weight_agreement():
+def pauli_enumeration_min_weight(code, cap):
+    """Oracle: scan all 4^n Paulis for the lightest one commuting with every
+    generator but outside their span; 0 when none has weight <= cap."""
+    n = code.n
+    red = gf2.rref(code.matrix)
+    best = 0
+    for bits in product((0, 1), repeat=2 * n):
+        v = np.array(bits, np.uint8)
+        p = pauli.from_bits(v)
+        w = p.weight
+        if w == 0 or w > cap or (best and w >= best):
+            continue
+        if any(pauli.symplectic_product(p, pauli.from_bits(r)) for r in code.matrix):
+            continue
+        if not gf2.in_rowspan(red, v):
+            best = w
+    return best
+
+
+def test_normalizer_min_weight_matches_pauli_enumeration():
     rng = np.random.default_rng(3)
     for _ in range(15):
         n = int(rng.integers(2, 6))
@@ -66,37 +91,65 @@ def test_normalizer_min_weight_agreement():
         code = random_stabilizer_code(rng, n, m)
         red = gf2.rref(code.matrix)
         span = red.matrix[: red.rank]
-        a = IMPLS["numpy"]["normalizer_min_weight"](code.matrix, span, red.pivots, n, n)
-        b = IMPLS["numba"]["normalizer_min_weight"](code.matrix, span, red.pivots, n, n)
-        assert a == b
+        got = _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, n)
+        assert got == pauli_enumeration_min_weight(code, n)
 
 
-def test_bsc_trial_successes_agreement():
+def test_normalizer_min_weight_cap_returns_zero():
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        n = int(rng.integers(3, 6))
+        code = random_stabilizer_code(rng, n, n - 1)
+        red = gf2.rref(code.matrix)
+        span = red.matrix[: red.rank]
+        d = pauli_enumeration_min_weight(code, n)
+        assert d > 0
+        assert _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, d - 1) == 0
+        assert _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, d) == d
+
+
+def scalar_errors(n, delta, trials, seed):
+    """Oracle: the documented counter-based stream, one bit at a time in
+    Python integers (splitmix64 of (i * n + j + 1) * golden + seed)."""
+    for i in range(trials):
+        e = np.zeros(n, np.uint8)
+        for j in range(n):
+            z = ((i * n + j + 1) * 0x9E3779B97F4A7C15 + seed) & MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+            z ^= z >> 31
+            e[j] = (z >> 11) * 2.0**-53 < delta
+        yield e
+
+
+def scalar_successes(g, delta, trials, seed):
+    return sum(
+        not decode_nearest(g, e).message.any() for e in scalar_errors(g.n, delta, trials, seed)
+    )
+
+
+def test_bsc_trial_successes_matches_scalar_decoder():
     g = load_generator(data_path("five_two.gmat"))
     table = codeword_table(g)
     for seed in (0, 1, 99):
-        a = IMPLS["numpy"]["bsc_trial_successes"](table, 5, 0.12, 4000, seed)
-        b = IMPLS["numba"]["bsc_trial_successes"](table, 5, 0.12, 4000, seed)
-        assert a == b
+        got = _kernels.bsc_trial_successes(table, g.n, 0.12, 400, seed)
+        assert got == scalar_successes(g, 0.12, 400, seed)
 
 
-def test_bsc_trials_batch_invariant():
-    # the numpy path chunks internally; forcing different chunk layouts by
-    # trial count must not change any prefix of the outcome stream
-    g = load_generator(data_path("seven_three.gmat"))
-    table = codeword_table(g)
-    full = IMPLS["numpy"]["bsc_trial_successes"](table, 7, 0.2, 3000, 5)
-    again = IMPLS["numba"]["bsc_trial_successes"](table, 7, 0.2, 3000, 5)
-    assert full == again
+def test_leader_trial_successes_matches_scalar_decoder():
+    for name, delta in (("seven_three.gmat", 0.2), ("five_two.gmat", 0.3)):
+        g = load_generator(data_path(name))
+        t = coset_leaders(g)
+        for seed in (2, 5):
+            got = _kernels.leader_trial_successes(
+                t.syndrome_cols, t.min_weight, g.n, delta, 400, seed
+            )
+            assert got == scalar_successes(g, delta, 400, seed)
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, **{_kernels.ENV_FLAG: "1"})
-    out = subprocess.run(
-        [sys.executable, "-c", "import stab2lin; print(stab2lin.backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+def test_trial_flips_chunk_invariant():
+    # any split of the trials into chunks must draw the same flips
+    whole = _kernels._trial_flips(7, 0.2, 0, 3000, 5)
+    parts = [_kernels._trial_flips(7, 0.2, a, b, 5) for a, b in ((0, 1), (1, 1234), (1234, 3000))]
+    assert np.array_equal(whole, np.vstack(parts))
+    assert np.array_equal(whole, np.array(list(scalar_errors(7, 0.2, 3000, 5)), bool))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stab2lin import lincode
+from stab2lin import _kernels, lincode
 from stab2lin.formats import load_generator
 from stab2lin.lincode import (
     GeneratorMatrix,
@@ -9,6 +11,7 @@ from stab2lin.lincode import (
     bsc_success_exact,
     codeword_table,
     correctable_weight_histogram,
+    coset_leaders,
     decode_nearest,
     encode,
     max_correctable,
@@ -187,9 +190,28 @@ def test_bsc_exact_monotone_in_delta(g52):
 
 
 def test_bsc_exact_refuses_large_n():
-    g = GeneratorMatrix(np.eye(1, lincode.N_EXACT_LIMIT + 1, dtype=np.uint8))
-    with pytest.raises(ValueError, match="[Mm]onte"):
+    # a (25,1) code: its 2^24 syndromes are past the exact-channel limit
+    g = GeneratorMatrix(np.eye(1, 25, dtype=np.uint8))
+    assert g.n - g.k > lincode.NK_EXACT_LIMIT
+    with pytest.raises(ValueError, match="n - k.*[Mm]onte"):
         bsc_success_exact(g, 0.1)
+
+
+def test_bsc_exact_long_high_rate_code():
+    # 2^30 error patterns are past any sweep; n - k = 3 gives 8 syndromes
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 2, size=(27, 3)).astype(np.uint8)
+    g = GeneratorMatrix(np.hstack([np.eye(27, dtype=np.uint8), a]))
+    exact = bsc_success_exact(g, 0.02).success_probability
+    mc = bsc_monte_carlo(g, 0.02, trials=100_000, seed=3)
+    assert abs(mc.success_probability - exact) <= 4 * mc.standard_error
+
+
+def test_coset_leaders_refuse_count_overflow():
+    # leader counts up to w * C(n, w) with w <= n - k = 23 overflow int64 here
+    g = GeneratorMatrix(np.hstack([np.eye(77, dtype=np.uint8), np.ones((77, 23), np.uint8)]))
+    with pytest.raises(ValueError, match="64-bit"):
+        correctable_weight_histogram(g)
 
 
 def test_bsc_exact_rejects_bad_delta(g52):
@@ -255,3 +277,125 @@ def test_codeword_table_message_order(g73):
     table = codeword_table(g73)
     for mi, (x, cw) in enumerate(all_codewords(g73)):
         assert np.array_equal(gf2.unpack_rows(table[mi], 7)[0], cw)
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the coset-leader table against brute force
+# ---------------------------------------------------------------------------
+
+
+def random_code(n, k, seed, zero_col, repeat_col):
+    """A random (n, k) code from a systematic (I_k | A), with rows mixed and
+    columns shuffled.  H = (A^T | I): ``zero_col`` zeroes row 0 of A, giving
+    a zero H column (a weight-1 codeword); ``repeat_col`` copies row 0 of A
+    into the last row, giving two equal H columns (a weight-2 codeword)."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(k, n - k)).astype(np.uint8)
+    if zero_col:
+        a[0] = 0
+    if repeat_col and k > 1:
+        a[-1] = a[0]
+    rows = np.hstack([np.eye(k, dtype=np.uint8), a])
+    for _ in range(k):
+        i, j = rng.integers(0, k, size=2)
+        if i != j:
+            rows[i] ^= rows[j]
+    return GeneratorMatrix(rows[:, rng.permutation(n)])
+
+
+@st.composite
+def codes(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    return random_code(
+        n, k, draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), draw(st.booleans())
+    )
+
+
+EDGE_CODES = [
+    random_code(9, 1, 0, False, False),  # k = 1
+    random_code(6, 6, 0, False, False),  # k = n: no parity checks
+    random_code(10, 4, 1, True, False),  # zero H column
+    random_code(10, 6, 2, False, True),  # repeated H columns
+    random_code(12, 5, 3, True, True),  # both
+]
+
+
+def with_edge_codes(*args):
+    """Run each edge code as an explicit example, with ``args`` after it."""
+
+    def decorate(test):
+        for g in EDGE_CODES:
+            test = example(g, *args)(test)
+        return test
+
+    return decorate
+
+
+def decode_histogram(g):
+    """Oracle: weights of the patterns that decode_nearest maps to message 0."""
+    hist = np.zeros(g.n + 1, dtype=np.int64)
+    for ei in range(1 << g.n):
+        e = ((ei >> np.arange(g.n)) & 1).astype(np.uint8)
+        if not decode_nearest(g, e).message.any():
+            hist[int(e.sum())] += 1
+    return hist
+
+
+def pattern_sweep_table(g, cols):
+    """Oracle: leader weight and leader count per syndrome over all 2^n patterns."""
+    bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
+    syn = np.bitwise_xor.reduce(np.where(bits == 1, cols, 0), axis=1)
+    wt = bits.sum(axis=1)
+    minw = np.full(1 << (g.n - g.k), g.n + 1)
+    np.minimum.at(minw, syn, wt)
+    count = np.bincount(syn[wt == minw[syn]], minlength=minw.size)
+    return minw, count
+
+
+@with_edge_codes()
+@given(codes())
+@settings(max_examples=12, deadline=None)
+def test_histogram_matches_decode_classification(g):
+    hist = correctable_weight_histogram(g)
+    assert hist.dtype == np.int64 and hist.shape == (g.n + 1,)
+    assert np.array_equal(hist, decode_histogram(g))
+    assert bsc_success_exact(g, 0.0).success_probability == 1.0
+    half = bsc_success_exact(g, 0.5).success_probability
+    assert abs(half - hist.sum() / 2**g.n) < 1e-12
+
+
+@with_edge_codes()
+@given(codes())
+@settings(max_examples=60, deadline=None)
+def test_coset_leader_fills_match_pattern_sweep(g):
+    table = coset_leaders(g)
+    minw, count = pattern_sweep_table(g, table.syndrome_cols)
+    nk = g.n - g.k
+    by_search = lincode._leaders_by_search(table.syndrome_cols, g.n, nk)
+    by_codewords = lincode._leaders_by_codewords(codeword_table(g), table.syndrome_cols, g.n, nk)
+    for got_w, got_c in ((table.min_weight, table.count), by_search, by_codewords):
+        assert np.array_equal(got_w, minw)
+        assert np.array_equal(got_c, count)
+
+
+@with_edge_codes(7, 2000, 0.5)
+@with_edge_codes(11, 500, 0.0)
+@given(
+    codes(max_n=16),
+    st.integers(0, 2**63 - 1),
+    st.integers(1, 3000),
+    st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+)
+@settings(max_examples=60, deadline=None)
+def test_monte_carlo_paths_agree(g, seed, trials, delta):
+    table = coset_leaders(g)
+    by_syndrome = _kernels.leader_trial_successes(
+        table.syndrome_cols, table.min_weight, g.n, delta, trials, seed
+    )
+    by_codeword = _kernels.bsc_trial_successes(codeword_table(g), g.n, delta, trials, seed)
+    assert by_syndrome == by_codeword
+    rep = bsc_monte_carlo(g, delta, trials, seed)
+    assert rep.success_probability == by_syndrome / trials
+    if delta == 0.0:
+        assert by_syndrome == trials
