@@ -13,6 +13,7 @@ from math import log2, sqrt
 from typing import Callable
 
 LOG2_3 = log2(3.0)
+MAX_GRID_POINTS = 10**6
 
 
 def binary_entropy(p: float) -> float:
@@ -125,10 +126,12 @@ def curves_for(channel: str) -> list[BoundCurve]:
 
 def grid(delta_from: float, delta_to: float, step: float) -> list[float]:
     """Inclusive arithmetic grid; endpoints snapped against float dust."""
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     if delta_to < delta_from:
         raise ValueError("empty grid: to < from")
+    if not (delta_to - delta_from) / step < MAX_GRID_POINTS:  # also NaN, inf
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points; raise the step")
     points = []
     i = 0
     while True:

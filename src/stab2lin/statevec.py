@@ -1,11 +1,15 @@
-"""Dense statevector verification of the classical-to-quantum isomorphism.
+"""The classical-to-quantum isomorphism phi(y) = Z^(y,0^r)|C_0>.
+
+``verify_phi`` decides its three claims exactly, for any n, on the
+phase-tracked stabilizer tableau of ``|C_0>`` (``pauli.StabilizerTableau``).
+The dense statevector tools below build the same states as 2^n amplitudes
+for small n; the tests use them as the reference.
 
 Basis convention: qubit 1 is the most significant index bit, so the
-amplitude of |b_1 ... b_n> sits at index sum_j b_j 2^(n-j).  The binary
-(a|b) representation drops operator phases, so a phase convention is fixed
-explicitly here: the operator of (a|b) is i^(a.b) X^a Z^b with X factors
-applied after Z factors per qubit.  Under it, (1|1) acts as the standard
-sigma_y and every operator squares to +I.
+amplitude of |b_1 ... b_n> sits at index sum_j b_j 2^(n-j).  The operator of
+(a|b) is i^(a.b) X^a Z^b with X factors applied after Z factors per qubit.
+Under it, (1|1) acts as the standard sigma_y and every operator squares to
++I.
 """
 
 from __future__ import annotations
@@ -14,12 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf2
 from .extraction import extract_classical
-from .pauli import PauliVector
+from .pauli import PauliVector, StabilizerTableau, bitmask, from_bits, signed_row
 from .stabilizer import StandardForm, logical_bit_ops, logical_phase_ops
 
 DEFAULT_STATE_CAP = 12
 TOLERANCE = 1e-9
+COLLAPSED = (
+    "codeword construction collapsed to (near) zero; the generator "
+    "phase convention is inconsistent"
+)
 
 
 @dataclass(frozen=True)
@@ -46,10 +55,6 @@ def zero_state(n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def _mask(bits: np.ndarray, n: int) -> int:
-    return int(sum(int(b) << (n - 1 - j) for j, b in enumerate(bits)))
-
-
 def _parity_signs(masked: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(masked.astype(np.uint64)) & 1)
 
@@ -62,8 +67,8 @@ def apply_pauli(state: StateVector, p: PauliVector) -> StateVector:
     if p.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, operator n={p.n}")
     n = state.n
-    amask = _mask(p.a, n)
-    bmask = _mask(p.b, n)
+    amask = bitmask(p.a[::-1])  # qubit 1 is the most significant bit
+    bmask = bitmask(p.b[::-1])
     idx = np.arange(1 << n)
     src = idx ^ amask
     signs = _parity_signs(src & bmask)
@@ -80,34 +85,19 @@ def eigenvalue_sign(state: StateVector, p: PauliVector, tol: float = TOLERANCE):
     return None
 
 
-def _standard_rows(sf: StandardForm):
-    gens = sf.reassemble()
-    n = sf.n
-    g_rows = [PauliVector(gens[i, :n], gens[i, n:]) for i in range(sf.m)]
-    lmat = logical_phase_ops(sf)
-    nmat = logical_bit_ops(sf)
-    l_rows = [PauliVector(lmat[i, :n], lmat[i, n:]) for i in range(sf.k)]
-    n_rows = [PauliVector(nmat[i, :n], nmat[i, n:]) for i in range(sf.k)]
-    return g_rows, l_rows, n_rows
-
-
 def build_C0(sf: StandardForm, cap: int = DEFAULT_STATE_CAP) -> StateVector:
     """The joint +1 eigenstate of G_1..G_m, L_1..L_k, built as the normalized
     product (I+G_1)...(I+G_s)(I+L_1)...(I+L_k) |0...0>."""
     n = sf.n
     if n > cap:
         raise ValueError(f"n = {n} exceeds the statevector cap {cap}")
-    g_rows, l_rows, _ = _standard_rows(sf)
     amps = zero_state(n).amplitudes
-    for op in g_rows[: sf.s] + l_rows:
-        amps = amps + apply_pauli(StateVector(n, amps), op).amplitudes
+    for row in np.vstack([sf.reassemble()[: sf.s], logical_phase_ops(sf)]):
+        amps = amps + apply_pauli(StateVector(n, amps), from_bits(row)).amplitudes
     amps = amps / np.sqrt(2.0 ** (sf.s + sf.k))
     state = StateVector(n, amps)
     if state.norm < 0.5:
-        raise RuntimeError(
-            "codeword construction collapsed to (near) zero; the generator "
-            "phase convention is inconsistent"
-        )
+        raise RuntimeError(COLLAPSED)
     return state
 
 
@@ -116,12 +106,8 @@ def build_Cx(sf: StandardForm, x: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> S
     x = np.asarray(x, dtype=np.uint8)
     if x.shape != (sf.k,):
         raise ValueError(f"message length {x.shape} != k = {sf.k}")
-    _, _, n_rows = _standard_rows(sf)
-    state = build_C0(sf, cap=cap)
-    for j in range(sf.k):
-        if x[j]:
-            state = apply_pauli(state, n_rows[j])
-    return state
+    nx = gf2.mat_mul(x[None, :], logical_bit_ops(sf))[0]  # the N_j are Z-type
+    return apply_pauli(build_C0(sf, cap=cap), from_bits(nx))
 
 
 def phi(sf: StandardForm, y: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> StateVector:
@@ -139,12 +125,11 @@ def phi(sf: StandardForm, y: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> StateV
 
 @dataclass(frozen=True)
 class PhiReport:
-    """Outcome of the three isomorphism checks.
+    """Outcome of the three isomorphism checks, decided exactly.
 
-    ``error_property_ok`` compares up to one global phase per error pattern
-    (the acceptance gate); ``error_property_exact_ok`` demands exact amplitude
-    equality.  ``max_deviation`` is the largest deviation over all gated
-    checks.
+    The check is GF(2) arithmetic on the tableau of ``|C_0>``, so it covers
+    all 2^(n-r) images and 4^(n-r) (word, error) pairs, the deviations are
+    0.0, and the error correspondence holds exactly and up to phase alike.
     """
 
     bijectivity_ok: bool
@@ -163,123 +148,78 @@ class PhiReport:
         return self.bijectivity_ok and self.codeword_property_ok and self.error_property_ok
 
 
-def _phi_images(c0: np.ndarray, ys: np.ndarray, n: int, nr: int) -> np.ndarray:
-    """phi(y) for each y (rows), exploiting that the operators are diagonal."""
-    idx = np.arange(1 << n)
-    shifted = ys.astype(np.uint64) << np.uint64(n - nr)  # pad the r identity bits
-    masked = np.bitwise_and(shifted[:, None], idx[None, :].astype(np.uint64))
-    return _parity_signs(masked) * c0[None, :]
+def projected_state(n: int, ops) -> tuple[StabilizerTableau, list[int]]:
+    """The tableau of (I + P_1) ... (I + P_t)|0^n>, normalised, projected in
+    the order given, and the positions of the factors whose +P already
+    stabilized the state: each of those leaves the dense product
+    unnormalised.  Raises the collapse RuntimeError when some -P did."""
+    state = StabilizerTableau(n)
+    redundant = []
+    for i, op in enumerate(ops):
+        expectation = state.project(op)
+        if expectation < 0:
+            raise RuntimeError(COLLAPSED)
+        if expectation > 0:
+            redundant.append(i)
+    return state, redundant
 
 
-def verify_phi(
-    sf: StandardForm,
-    cap: int = DEFAULT_STATE_CAP,
-    tol: float = TOLERANCE,
-    image_limit: int = 512,
-    seed: int = 0,
-) -> PhiReport:
-    """Check bijectivity, the codeword correspondence, and the error
-    correspondence of phi, exhaustively when 2^(n-r) <= image_limit and on a
-    seeded sample otherwise."""
+def z_images_orthogonal(state: StabilizerTableau, n: int, r: int) -> bool:
+    """Whether the states Z^(u,0^r)|state> are pairwise orthogonal, that is,
+    whether no nonzero (0 | u, 0^r) lies in the span of the stabilizers."""
+    visible = [x | (z >> (n - r)) << n for x, z, _ in state.stabilizers]
+    bits = [[(v >> j) & 1 for j in range(n + r)] for v in visible]
+    return gf2.rank(np.array(bits, np.uint8)) == n
+
+
+def verify_phi(sf: StandardForm) -> PhiReport:
+    """Check bijectivity, the codeword correspondence and the error
+    correspondence of phi(y) = Z^(y,0^r)|C_0> on a phase-tracked tableau."""
     n, nr, k = sf.n, sf.n - sf.r, sf.k
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the statevector cap {cap}")
-    c0 = build_C0(sf, cap=cap).amplitudes
-    exhaustive = (1 << nr) <= image_limit
-    if exhaustive:
-        ys = np.arange(1 << nr, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        ys = np.sort(rng.choice(1 << nr, size=image_limit, replace=False))
-        if 0 not in ys:
-            ys[0] = 0
-    images = _phi_images(c0, ys, n, nr)
+    gens = [signed_row(row) for row in sf.reassemble()]
+    lops = [signed_row(row) for row in logical_phase_ops(sf)]
     counterexamples: list[str] = []
-    max_dev = 0.0
 
-    # 1. bijectivity: pairwise orthogonality of the images
-    gram = images.conj() @ images.T
-    off = gram - np.eye(len(ys))
-    bij_dev = float(np.max(np.abs(off)))
-    max_dev = max(max_dev, bij_dev)
-    bij_ok = bij_dev < tol
-    if not bij_ok:
-        i, j = np.unravel_index(np.argmax(np.abs(off)), off.shape)
-        counterexamples.append(
-            f"images of y={int(ys[i])} and y={int(ys[j])} not orthonormal "
-            f"(deviation {np.abs(off[i, j]):.3g})"
-        )
+    # 1. bijectivity: the images are orthonormal iff C_0 is normalised and
+    #    distinct Z^(u,0) move it to orthogonal states
+    state, redundant = projected_state(n, gens[: sf.s] + lops)
+    for i in redundant:
+        label = f"G_{i + 1}" if i < sf.s else f"L_{i - sf.s + 1}"
+        counterexamples.append(f"{label} already stabilizes the state; C_0 is not normalised")
+    if not z_images_orthogonal(state, n, sf.r):
+        counterexamples.append("some Z^(u,0) with u != 0 stabilizes C_0 up to sign")
+    bij_ok = not counterexamples
 
-    # 2. codeword correspondence: phi(x.M) equals the basis codeword and sits
-    #    in the +1 eigenspace of every generator
-    cw_ok = True
-    gens = sf.reassemble()
-    g_rows = [PauliVector(gens[i, :n], gens[i, n:]) for i in range(sf.m)]
+    # 2. codeword correspondence: phi(x.M) = N^x|C_0> and G_i phi(x.M) =
+    #    phi(x.M) for all i.  Both are linear in x, so the k basis messages
+    #    decide every message.  The first says Z^(x.M,0) N^x stabilizes C_0.
+    #    Given that and +G_i in the group, the second holds: G_i commutes with
+    #    that Z-type element and with N^x, so x.M has even overlap with G_i's
+    #    X part.
+    codeword_failures = []
     if k:
+        for i, g in enumerate(gens):
+            if state.expectation(g) != 1:
+                codeword_failures.append(f"C_0 is not a +1 eigenstate of G_{i + 1}")
         gen = extract_classical(sf).generator
-        messages = np.arange(1 << k)
-        if len(messages) > image_limit:
-            rng = np.random.default_rng(seed + 1)
-            messages = np.sort(rng.choice(1 << k, size=image_limit, replace=False))
-        for mi in messages:
-            x = np.array([(int(mi) >> (k - 1 - i)) & 1 for i in range(k)], np.uint8)
-            y = (x[None, :] @ gen & 1).astype(np.uint8)[0]
-            lhs = phi(sf, y, cap=cap)
-            rhs = build_Cx(sf, x, cap=cap)
-            dev = float(np.max(np.abs(lhs.amplitudes - rhs.amplitudes)))
-            for g in g_rows:
-                moved = apply_pauli(lhs, g).amplitudes
-                dev = max(dev, float(np.max(np.abs(moved - lhs.amplitudes))))
-            max_dev = max(max_dev, dev)
-            if dev >= tol:
-                cw_ok = False
-                counterexamples.append(f"codeword x={''.join(map(str, x))}: deviation {dev:.3g}")
+        bit_ops = logical_bit_ops(sf)
+        for j in range(k):
+            diff = bitmask(gen[j]) ^ bitmask(bit_ops[j, n:])
+            if diff and state.expectation((0, diff, 0)) != 1:
+                codeword_failures.append(f"codeword x=e_{j + 1}: phi(x.M) != N^x C_0")
+    counterexamples += codeword_failures
 
-    # 3. error correspondence: phi(y xor e) = Z_e phi(y), exact and up to one
-    #    global phase per error pattern
-    err_ok = True
-    err_exact_ok = True
-    max_dev_exact = max_dev
-    pairs = 0
-    idx = np.arange(1 << n).astype(np.uint64)
-    y_pos = {int(y): i for i, y in enumerate(ys)}
-    for e in ys:
-        e = int(e)
-        signs_e = _parity_signs((np.uint64(e << (n - nr))) & idx)
-        moved = signs_e[None, :] * images  # Z_e phi(y) for every sampled y
-        targets = np.array([y_pos.get(int(y) ^ e, -1) for y in ys])
-        valid = targets >= 0
-        if not valid.any():
-            continue
-        lhs = images[targets[valid]]
-        rhs = moved[valid]
-        pairs += int(valid.sum())
-        exact_dev = float(np.max(np.abs(lhs - rhs)))
-        max_dev_exact = max(max_dev_exact, exact_dev)
-        if exact_dev >= tol:
-            err_exact_ok = False
-        # single global phase for this error pattern, estimated from the
-        # largest component of the first pair
-        ref = int(np.argmax(np.abs(rhs[0])))
-        denom = rhs[0][ref]
-        alpha = lhs[0][ref] / denom if np.abs(denom) > tol else 1.0
-        if abs(abs(alpha) - 1.0) > tol:
-            alpha = 1.0
-        phase_dev = float(np.max(np.abs(lhs - alpha * rhs)))
-        max_dev = max(max_dev, phase_dev)
-        if phase_dev >= tol:
-            err_ok = False
-            counterexamples.append(f"error pattern e={e}: deviation {phase_dev:.3g}")
-
+    # 3. error correspondence: phi(y xor e) = Z^(e,0) phi(y) for every y and
+    #    e, because Z-type Paulis compose without a phase.
     return PhiReport(
         bijectivity_ok=bij_ok,
-        codeword_property_ok=cw_ok,
-        error_property_ok=err_ok,
-        error_property_exact_ok=err_exact_ok,
-        max_deviation=max_dev,
-        max_deviation_exact=max_dev_exact,
-        images_checked=len(ys),
-        pairs_checked=pairs,
-        exhaustive=exhaustive,
+        codeword_property_ok=not codeword_failures,
+        error_property_ok=True,
+        error_property_exact_ok=True,
+        max_deviation=0.0,
+        max_deviation_exact=0.0,
+        images_checked=1 << nr,
+        pairs_checked=1 << (2 * nr),
+        exhaustive=True,
         counterexamples=counterexamples,
     )

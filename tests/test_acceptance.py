@@ -24,6 +24,7 @@ from stab2lin.stabilizer import (
 )
 from stab2lin.statevec import StateVector, apply_pauli
 
+from phi_oracle import dense_verify_phi
 from util import data_path, random_elementary_op, random_stabilizer_code
 
 PUBLISHED_SEVEN_THREE = np.array(
@@ -102,7 +103,7 @@ def test_criterion_3_distance_inequality():
 def test_criterion_4_phi_isomorphism():
     with criterion(4, "phi bijective + codeword map on 8 messages + error map on 128 patterns", 30.0):
         sf = to_standard_form(load_stabilizer(data_path("eight_three.stab")))
-        rep = statevec.verify_phi(sf, tol=1e-9)
+        rep = statevec.verify_phi(sf)
         assert rep.exhaustive
         assert rep.images_checked == 128
         assert rep.pairs_checked == 128 * 128
@@ -110,6 +111,11 @@ def test_criterion_4_phi_isomorphism():
         assert rep.codeword_property_ok
         assert rep.error_property_ok  # up to one global phase per error pattern
         assert rep.max_deviation < 1e-9
+        # the 2^n statevector reference agrees, amplitude by amplitude
+        dense = dense_verify_phi(sf, tol=1e-9)
+        assert (dense.bijectivity_ok, dense.codeword_property_ok, dense.error_property_ok) == (
+            rep.bijectivity_ok, rep.codeword_property_ok, rep.error_property_ok)
+        assert dense.max_deviation < 1e-9
 
 
 def test_criterion_5_classical_example_code():

@@ -4,7 +4,7 @@ from click.testing import CliRunner
 
 from stab2lin.cli import main
 
-from util import data_path
+from util import data_path, rotated_surface_code
 
 runner = CliRunner()
 
@@ -137,6 +137,18 @@ def test_distance_quantum_cap():
     assert res.output.strip() == "distance > 2 (cap exceeded)"
 
 
+def test_distance_quantum_invalid_code_exit_one():
+    res = run("distance", data_path("eight_three_mutated.stab"), "--quantum")
+    assert res.exit_code == 1
+    assert "anticommuting pairs: (1,2)" in res.output
+
+
+def test_distance_cap_below_one_exit_two():
+    for cap in ("0", "-3"):
+        res = run("distance", data_path("eight_three.stab"), "--quantum", "--cap", cap)
+        assert res.exit_code == 2, cap
+
+
 def test_distance_classical():
     res = run("distance", data_path("seven_three.gmat"), "--classical")
     assert res.output.strip() == "d=4 t=1"
@@ -211,10 +223,13 @@ def test_verify_phi_mutated_fixture_fails_with_counterexample():
     assert "(1,2)" in res.output
 
 
-def test_verify_phi_cap_refusal():
-    res = run("verify-phi", data_path("eight_three.stab"), "--cap", "4")
-    assert res.exit_code == 1
-    assert "--cap" in res.output
+def test_verify_phi_past_old_cap_n16(tmp_path):
+    # n = 16 was past the 2^n statevector cap of 12
+    path = tmp_path / "surface4.stab"
+    path.write_text("\n".join(rotated_surface_code(4).pauli_strings()) + "\n")
+    res = run("verify-phi", path)
+    assert res.exit_code == 0, res.output
+    assert "codeword_property_ok: pass" in res.output
 
 
 def test_bounds_csv():
@@ -241,6 +256,14 @@ def test_bounds_output_file_and_json(tmp_path):
 def test_bounds_invalid_grid_exit_two():
     res = run("bounds", "--channel", "adversarial", "--step", "0")
     assert res.exit_code == 2
+
+
+def test_bounds_oversized_grid_exit_two():
+    # 2.5e8 points: refused up front, not looped over
+    for extra in ((), ("--json",)):
+        res = run("bounds", "--channel", "adversarial", "--step", "1e-9", *extra)
+        assert res.exit_code == 2
+        assert "more than 1000000 points" in res.output
 
 
 def test_commands_deterministic_byte_identical():

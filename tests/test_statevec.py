@@ -1,13 +1,16 @@
 import dataclasses
+import time
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stab2lin import statevec
 from stab2lin.extraction import extract_classical
 from stab2lin.formats import load_stabilizer
-from stab2lin.pauli import PauliVector, parse_pauli
+from stab2lin.pauli import PauliVector, parse_pauli, signed_row
 from stab2lin.stabilizer import (
     StabilizerCode,
     logical_phase_ops,
@@ -24,7 +27,9 @@ from stab2lin.statevec import (
     zero_state,
 )
 
-from util import data_path
+import phi_oracle
+from phi_oracle import dense_verify_phi
+from util import data_path, random_stabilizer_code, rotated_surface_code
 
 
 @pytest.fixture(scope="module")
@@ -244,14 +249,111 @@ def test_verify_phi_detects_corruption(sf8):
     assert rep.counterexamples
 
 
-def test_verify_phi_cap():
-    sf = to_standard_form(load_stabilizer(data_path("eight_three.stab")))
-    with pytest.raises(ValueError):
-        verify_phi(sf, cap=4)
+def test_verify_phi_past_old_cap_surface_d5():
+    # n = 25 was past the 2^n statevector cap of 12
+    sf = to_standard_form(rotated_surface_code(5))
+    rep = verify_phi(sf)
+    assert rep.all_ok and rep.error_property_exact_ok
+    assert rep.images_checked == 2 ** (sf.n - sf.r)
+    assert rep.pairs_checked == 4 ** (sf.n - sf.r)
 
 
-def test_verify_phi_sampled_path(sf8):
-    rep = verify_phi(sf8, image_limit=16)
-    assert not rep.exhaustive
-    assert rep.images_checked == 16
-    assert rep.bijectivity_ok and rep.codeword_property_ok and rep.error_property_ok
+def test_verify_phi_surface_d7_under_a_second():
+    sf = to_standard_form(rotated_surface_code(7))
+    t0 = time.perf_counter()
+    rep = verify_phi(sf)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.all_ok, rep.counterexamples
+
+
+def _outcome(check, sf):
+    try:
+        rep = check(sf)
+    except RuntimeError as exc:
+        return str(exc)
+    return (rep.bijectivity_ok, rep.codeword_property_ok, rep.error_property_ok,
+            rep.error_property_exact_ok)
+
+
+BLOCKS = ("a1", "a2", "b1", "b2", "b3", "c1", "c2")
+
+
+@given(st.integers(1, 7), st.data())
+@settings(max_examples=80, deadline=None)
+def test_verify_phi_matches_dense_oracle(n, data):
+    # a valid code, then one bit flipped in each non-empty block
+    m = data.draw(st.integers(1, n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sf = to_standard_form(random_stabilizer_code(rng, n, m))
+    variants = [sf]
+    for name in BLOCKS:
+        block = getattr(sf, name).copy()
+        if block.size:
+            block[rng.integers(block.shape[0]), rng.integers(block.shape[1])] ^= 1
+            variants.append(dataclasses.replace(sf, **{name: block}))
+    for variant in variants:
+        assert _outcome(verify_phi, variant) == _outcome(dense_verify_phi, variant)
+    rep = verify_phi(sf)
+    assert rep.all_ok and rep.exhaustive and rep.max_deviation == 0.0
+    assert (rep.images_checked, rep.pairs_checked) == (2 ** (n - sf.r), 4 ** (n - sf.r))
+
+
+def test_verify_phi_checks_the_extracted_generator(monkeypatch):
+    # the codeword check decides the claim for whatever generator extraction
+    # returns: a flipped bit of M, or a row of M added to another (the same
+    # code, another message map), must be caught as the oracle catches it
+    sf = to_standard_form(load_stabilizer(data_path("four_two.stab")))
+    real = extract_classical(sf)
+    wrong = []
+    for i, j in product(range(sf.k), range(sf.n - sf.r)):
+        wrong.append(real.generator.copy())
+        wrong[-1][i, j] ^= 1
+    for i, j in product(range(sf.k), repeat=2):
+        if i != j:
+            wrong.append(real.generator.copy())
+            wrong[-1][i] ^= wrong[-1][j]
+    for gen in wrong:
+        fake = dataclasses.replace(real, generator=gen)
+        for module in (statevec, phi_oracle):
+            monkeypatch.setattr(module, "extract_classical", lambda _, fake=fake: fake)
+        verdict = _outcome(verify_phi, sf)
+        assert verdict == _outcome(dense_verify_phi, sf)
+        assert verdict[1] is False
+
+
+def _signed(text):
+    sign, text = (2, text[1:]) if text.startswith("-") else (0, text)
+    x, z, p = signed_row(parse_pauli(text).to_bits())
+    return x, z, (p + sign) & 3
+
+
+def test_projected_state_redundant_factor():
+    # +X already stabilizes X|+>; +Z1 already stabilizes |00>
+    state, redundant = statevec.projected_state(1, [_signed("X"), _signed("X")])
+    assert redundant == [1]
+    assert state.stabilizers == [_signed("X")]
+    _, redundant = statevec.projected_state(2, [_signed("ZI"), _signed("IX"), _signed("ZX")])
+    assert redundant == [0, 2]
+    # ZZ fixes |00>, and then -YY = (XX)(ZZ) fixes the Bell state
+    _, redundant = statevec.projected_state(2, [_signed(p) for p in ("XX", "ZZ", "-YY")])
+    assert redundant == [1, 2]
+
+
+def test_projected_state_collapse():
+    # YY = -(XX)(ZZ), so the Bell state |00> + |11> has YY = -1
+    for ops in (["-Z"], ["X", "-X"], ["XX", "ZZ", "YY"]):
+        with pytest.raises(RuntimeError, match="collapsed"):
+            statevec.projected_state(len(ops[0].lstrip("-")), [_signed(op) for op in ops])
+
+
+def test_z_images_orthogonal_hand_built():
+    zero = statevec.projected_state(2, [])[0]  # |00>: every Z^u stabilizes it
+    assert not statevec.z_images_orthogonal(zero, 2, 0)
+    plus_zero = statevec.projected_state(2, [_signed("XI")])[0]  # |+0>
+    assert statevec.z_images_orthogonal(plus_zero, 2, 1)  # only Z_1 acts
+    assert not statevec.z_images_orthogonal(plus_zero, 2, 0)  # Z_2 fixes |0>
+    zero_plus = statevec.projected_state(2, [_signed("IX")])[0]  # |0+>
+    assert not statevec.z_images_orthogonal(zero_plus, 2, 1)
+    bell = statevec.projected_state(2, [_signed("XX")])[0]  # ZZ stabilizes it
+    assert not statevec.z_images_orthogonal(bell, 2, 0)
+    assert statevec.z_images_orthogonal(bell, 2, 1)

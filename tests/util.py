@@ -52,6 +52,24 @@ def random_stabilizer_code(rng: np.random.Generator, n: int, m: int) -> Stabiliz
     return StabilizerCode(np.array(rows, np.uint8), n)
 
 
+def rotated_surface_code(d: int) -> StabilizerCode:
+    """The [[d^2, 1, d]] rotated surface code: checkerboard weight-4 faces,
+    weight-2 X faces on the top and bottom edges, Z faces on the sides."""
+    n = d * d
+    rows = []
+    for i in range(-1, d):
+        for j in range(-1, d):
+            qubits = [a * d + b for a in (i, i + 1) for b in (j, j + 1)
+                      if 0 <= a < d and 0 <= b < d]
+            x_type = (i + j) % 2 == 0
+            edge = i in (-1, d - 1) if x_type else j in (-1, d - 1)
+            if len(qubits) == 4 or (len(qubits) == 2 and edge):
+                row = np.zeros(2 * n, np.uint8)
+                row[np.array(qubits) + (0 if x_type else n)] = 1
+                rows.append(row)
+    return StabilizerCode(np.array(rows), n)
+
+
 def random_elementary_op(rng: np.random.Generator, n: int, m: int) -> ElementaryOp:
     kind = str(rng.choice([ROW_ADDITION, COLUMN_TRANSPOSITION, COLUMN_SWITCH, COLUMN_ADDITION]))
     if kind == ROW_ADDITION:
