@@ -1,7 +1,9 @@
 """Hot enumeration kernels, vectorized with numpy.
 
 - ``codeword_weight_hist``: weight histogram of all 2^k codewords.
-- ``normalizer_min_weight``: weight-ordered search for the quantum distance.
+- ``normalizer_min_weight``: the exact quantum distance, by a meet-in-the-
+  middle join of single-qubit syndromes, weight by weight; ``join_entries``
+  is the number of keys it lists for one weight.
 - ``bsc_trial_successes`` and ``leader_trial_successes``: the two Monte Carlo
   decoders for the binary symmetric channel.  The first compares each trial
   with all 2^k codewords; the second looks the trial's syndrome up in a
@@ -15,8 +17,7 @@ row lives in uint64 word ``c // 64`` at bit ``c % 64``.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import ceil
+from math import ceil, comb
 
 import numpy as np
 
@@ -25,6 +26,16 @@ from . import gf2
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 output mix of a uint64 array, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _popcount_words(packed: np.ndarray) -> np.ndarray:
@@ -59,40 +70,151 @@ def codeword_weight_hist(rows: np.ndarray, n: int) -> np.ndarray:
     return hist
 
 
+# Join keys are 63-bit syndromes: bit g for generator g < 63; each later
+# generator is folded in as a fixed pseudo-random 63-bit mask, and checked
+# exactly on the joined pairs only.
+_KEY_BITS = 63
+# A colex subset table is kept whole up to this many keys; larger ones are
+# streamed in blocks built from the table one size down.
+_TABLE_ENTRIES = 1 << 18
+
+
+def _single_syndromes(gens: np.ndarray, n: int) -> np.ndarray:
+    """(n, 3) int64 join keys of X_p, Y_p, Z_p: the XOR of the masks of the
+    generators the Pauli anticommutes with (X_p those with a Z at p, Z_p
+    those with an X at p)."""
+    m = gens.shape[0]
+    folded = _mix64(np.arange(1, max(m - _KEY_BITS, 0) + 1, dtype=np.uint64) * _GOLDEN)
+    masks = np.concatenate([
+        np.left_shift(1, np.arange(min(m, _KEY_BITS), dtype=np.int64)),
+        (folded >> np.uint64(64 - _KEY_BITS)).astype(np.int64),
+    ])[:, None]
+    sx = np.bitwise_xor.reduce(np.where(gens[:, n:] == 1, masks, 0), axis=0)
+    sz = np.bitwise_xor.reduce(np.where(gens[:, :n] == 1, masks, 0), axis=0)
+    return np.stack([sx, sx ^ sz, sz], axis=1)
+
+
+class _SubsetTables:
+    """Every t-subset of range(n) in colex order with the keys of its 3^t
+    letterings: ``pos`` is (C(n, t), t), ascending per row, and ``keys`` is
+    (C(n, t), 3^t), letter j (X, Y, Z = 0, 1, 2) of position j being base-3
+    digit j, most significant first.  In colex order the t-subsets of
+    range(b) are the first C(b, t) rows."""
+
+    def __init__(self, syn: np.ndarray):
+        self.syn = syn
+        self.pos = [np.zeros((1, 0), dtype=np.intp)]
+        self.keys = [np.zeros((1, 1), dtype=np.int64)]
+
+    def extend(self, pos, keys, e):
+        """The block with position ``e`` appended to every row."""
+        c = pos.shape[0]
+        return (
+            np.hstack([pos, np.full((c, 1), e, dtype=np.intp)]),
+            (keys[:, :, None] ^ self.syn[e]).reshape(c, -1),
+        )
+
+    def blocks(self, t: int, limit: int):
+        """(pos, keys) blocks that list the t-subsets of range(limit) in order."""
+        n = len(self.syn)
+        if t == len(self.pos) and comb(n, t) * 3**t <= _TABLE_ENTRIES:
+            parts = [
+                self.extend(p, k, e) for e in range(t - 1, n) for p, k in self.blocks(t - 1, e)
+            ]
+            self.pos.append(np.concatenate([p for p, _ in parts]))
+            self.keys.append(np.concatenate([k for _, k in parts]))
+        if t < len(self.pos):
+            c = comb(limit, t)
+            if c:
+                yield self.pos[t][:c], self.keys[t][:c]
+            return
+        for e in range(t - 1, limit):
+            for p, k in self.blocks(t - 1, e):
+                yield self.extend(p, k, e)
+
+
+def join_entries(n: int, w: int) -> int:
+    """Keys that :func:`normalizer_min_weight` lists to search weight ``w``:
+    the A lists over all b plus the B lists over all b."""
+    h, l = (w + 1) // 2, w // 2
+    return comb(n - l, h) * 3**h + comb(n - h + 1, l + 1) * 3**l
+
+
+def _paulis(pos: np.ndarray, letters: np.ndarray, n: int) -> np.ndarray:
+    """(P, 2n) bit rows of the Paulis with the given positions and base-3
+    letter indices."""
+    v = np.zeros((len(pos), 2 * n), dtype=np.uint8)
+    rows = np.arange(len(pos))
+    t = pos.shape[1]
+    for j in range(t):
+        let = letters // 3 ** (t - 1 - j) % 3
+        v[rows, pos[:, j]] = let != 2
+        v[rows, n + pos[:, j]] = let != 0
+    return v
+
+
+def _joined(small, large, n: int):
+    """Bit rows of the Paulis A + B for every pair of equal keys.
+
+    ``small`` and ``large`` are iterables of (pos, keys) blocks over disjoint
+    positions; ``small`` is sorted whole and each ``large`` block probes it.
+    """
+    small = list(small)
+    if not small:
+        return
+    pos_s = np.concatenate([p for p, _ in small])
+    keys_s = np.concatenate([k for _, k in small])
+    order = np.argsort(keys_s, axis=None)
+    flat = keys_s.ravel()[order]
+    for pos_l, keys_l in large:
+        probe = keys_l.ravel()
+        lo = np.searchsorted(flat, probe)
+        hit = np.flatnonzero(flat[np.minimum(lo, flat.size - 1)] == probe)
+        if not hit.size:
+            continue
+        lo = lo[hit]
+        cnt = np.searchsorted(flat, probe[hit], side="right") - lo
+        li = np.repeat(hit, cnt)
+        si = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+        ws, wl = keys_s.shape[1], keys_l.shape[1]
+        yield _paulis(pos_s[si // ws], si % ws, n) | _paulis(pos_l[li // wl], li % wl, n)
+
+
 def normalizer_min_weight(
     gens: np.ndarray, span_rows: np.ndarray, span_pivots: np.ndarray, n: int, cap: int
 ) -> int:
     """Minimum Pauli weight of a vector commuting with all generators but
-    outside their row span; 0 when nothing is found up to ``cap``."""
-    m = gens.shape[0]
-    gen_pairs = []
-    for g in range(m):
-        ga = sum(int(gens[g, i]) << i for i in range(n))
-        gb = sum(int(gens[g, n + i]) << i for i in range(n))
-        gen_pairs.append((ga, gb))
-    rows_int = [
-        sum(int(r[c]) << c for c in range(2 * n)) for r in np.asarray(span_rows, dtype=np.uint8)
-    ]
-    pivots = [int(p) for p in span_pivots]
+    outside their row span; 0 when nothing is found up to ``cap``.
+
+    Meet in the middle on syndromes (Stern, "A method for finding codewords
+    of small weight", 1988).  A Pauli commutes with every generator iff the
+    syndromes of its single-qubit letters XOR to 0.  A weight-w Pauli splits
+    in exactly one way into A, its first ceil(w/2) positions with the last
+    one at b, and B, the floor(w/2) positions after b.  For each b the A
+    list and the B list are joined on equal keys (the smaller list sorted,
+    the larger one probing it), and only the joined pairs are checked
+    against the generators past the key and reduced against the span.
+    """
+    gens = np.asarray(gens, dtype=np.uint8)
+    span = np.asarray(span_rows, dtype=np.uint8)
+    pivots = np.asarray(span_pivots, dtype=np.intp)
+    unkeyed = gens[_KEY_BITS:]
+    unkeyed = np.hstack([unkeyed[:, n:], unkeyed[:, :n]]).T  # symplectic dual
+    syn = _single_syndromes(gens, n)
+    fwd, rev = _SubsetTables(syn), _SubsetTables(syn[::-1])
     for w in range(1, cap + 1):
-        for pos in combinations(range(n), w):
-            for letters in product((0, 1, 2), repeat=w):  # X, Y, Z
-                a = b = 0
-                for p, let in zip(pos, letters):
-                    if let != 2:
-                        a |= 1 << p
-                    if let != 0:
-                        b |= 1 << p
-                if any(
-                    ((a & gb).bit_count() + (b & ga).bit_count()) & 1
-                    for ga, gb in gen_pairs
-                ):
-                    continue
-                v = a | (b << n)
-                for piv, row in zip(pivots, rows_int):
-                    if (v >> piv) & 1:
-                        v ^= row
-                if v:
+        h, l = (w + 1) // 2, w // 2
+        for b in range(h - 1, n - l):
+            a_side = (fwd.extend(p, k, b) for p, k in fwd.blocks(h - 1, b))
+            b_side = ((n - 1 - p, k) for p, k in rev.blocks(l, n - 1 - b))
+            if comb(b, h - 1) * 3**h <= comb(n - 1 - b, l) * 3**l:
+                small, large = a_side, b_side
+            else:
+                small, large = b_side, a_side
+            for v in _joined(small, large, n):
+                if unkeyed.size:
+                    v = v[~gf2.mat_mul(v, unkeyed).any(axis=1)]
+                if (gf2.mat_mul(v[:, pivots], span) != v).any():
                     return w
     return 0
 
@@ -108,11 +230,7 @@ def _trial_flips(n: int, delta: float, start: int, stop: int, seed: int) -> np.n
     z = np.arange(start * n + 1, stop * n + 1, dtype=np.uint64)
     z *= _GOLDEN
     z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+    _mix64(z)
     # z >> 11 < 2^53, and delta * 2^53 <= 2^52 is exact, so u < delta holds
     # iff z >> 11 < ceil(delta * 2^53), i.e. iff z < ceil(delta * 2^53) << 11
     return (z < np.uint64(ceil(delta * 2**53) << 11)).reshape(stop - start, n)

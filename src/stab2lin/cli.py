@@ -24,6 +24,7 @@ from .formats import (
     write_generator_text,
     write_stabilizer_text,
 )
+from ._kernels import join_entries
 from .stabilizer import (
     SearchExhaustedError,
     StabilizerCode,
@@ -205,7 +206,7 @@ def extract(file, ensure_r, depth, out, as_json):
 @click.option("--cap", type=click.IntRange(min=1), help="weight cap for the quantum search")
 @click.option("--json", "as_json", is_flag=True)
 def distance(file, mode, cap, as_json):
-    """Brute-force code distance and corrected-error count t."""
+    """Exact code distance and corrected-error count t."""
     if mode is None:
         raise click.UsageError("choose one of --quantum or --classical")
     if mode == "quantum":
@@ -219,10 +220,20 @@ def distance(file, mode, cap, as_json):
                     "t": result.t,
                     "cap": result.cap,
                     "exceeded": result.exceeded,
+                    "searched": result.searched,
+                    "stopped_by": result.stopped_by,
                 }
             )
+        elif result.undefined:
+            click.echo("no logical operators (k = 0); distance undefined")
         elif result.exceeded:
             click.echo(f"distance > {result.cap} (cap exceeded)")
+        elif result.value is None:
+            w = result.searched + 1
+            click.echo(
+                f"distance > {result.searched} (work limit: searching weight {w} "
+                f"would list {join_entries(code.n, w):.2g} join keys)"
+            )
         else:
             click.echo(f"d={result.value} t={result.t}")
         return

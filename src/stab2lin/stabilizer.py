@@ -1,5 +1,5 @@
 """Stabilizer codes: validation, standard-form reduction, logical operators,
-and brute-force quantum distance.
+and the exact quantum distance.
 
 A code is an m x 2n binary matrix whose rows are pairwise-commuting,
 independent (a|b) generator vectors.  The standard-form reduction brings it
@@ -397,16 +397,38 @@ def verify_logical_algebra(sf: StandardForm) -> LogicalAlgebraReport:
     return LogicalAlgebraReport(gl_comm, gl_ind, gn_comm, gn_ind, pairing, failures)
 
 
+# The distance search refuses to start a weight level that lists more join
+# keys than this (_kernels.join_entries): at about 25 ns per key on one core,
+# no level past about 50 s starts.  Rotated surface d=7 needs 1.8e7.
+MAX_JOIN_ENTRIES = 2 * 10**9
+
+CAP = "cap"
+WORK_LIMIT = "work-limit"
+
+
 @dataclass(frozen=True)
 class DistanceResult:
-    """Minimum-weight search outcome; ``value`` is None when the cap was hit."""
+    """Minimum-weight search outcome.
+
+    ``value`` is the distance, or None with ``stopped_by`` saying why:
+    ``"cap"`` when no weight up to ``cap`` qualifies, ``"work-limit"`` when
+    the next level was predicted above ``MAX_JOIN_ENTRIES``, and None for a
+    k = 0 code, which has no logical operators, so its distance is undefined.
+    Every weight up to ``searched`` was searched.
+    """
 
     value: int | None
     cap: int
+    searched: int
+    stopped_by: str | None = None
 
     @property
     def exceeded(self) -> bool:
-        return self.value is None
+        return self.stopped_by == CAP
+
+    @property
+    def undefined(self) -> bool:
+        return self.value is None and self.stopped_by is None
 
     @property
     def t(self) -> int | None:
@@ -415,14 +437,25 @@ class DistanceResult:
 
 def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> DistanceResult:
     """Minimum Pauli weight over vectors commuting with all generators but
-    outside the generator row span, enumerated by increasing weight.
+    outside the generator row span, searched by increasing weight with the
+    meet-in-the-middle join of :func:`_kernels.normalizer_min_weight`.
 
-    ``weight_cap`` defaults to n (exhaustive).  A k = 0 code has no such
-    vector at all, so the result is always "exceeds cap" there.
+    ``weight_cap`` defaults to n (exhaustive).  A k = 0 code returns at once
+    with an undefined distance.  The search stops before the first weight
+    level whose join is predicted to list more than ``MAX_JOIN_ENTRIES`` keys
+    and reports the lower bound it reached.
     """
     n = code.n
     cap = n if weight_cap is None else min(weight_cap, n)
     red = gf2.rref(code.matrix)
+    if red.rank == n:
+        return DistanceResult(None, cap, 0)
+    reach = next(
+        (w - 1 for w in range(1, cap + 1) if _kernels.join_entries(n, w) > MAX_JOIN_ENTRIES),
+        cap,
+    )
     span_rows = red.matrix[: red.rank]
-    d = _kernels.normalizer_min_weight(code.matrix, span_rows, red.pivots, n, cap)
-    return DistanceResult(d if d else None, cap)
+    d = _kernels.normalizer_min_weight(code.matrix, span_rows, red.pivots, n, reach)
+    if d:
+        return DistanceResult(d, cap, d)
+    return DistanceResult(None, cap, reach, CAP if reach == cap else WORK_LIMIT)

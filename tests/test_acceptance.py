@@ -44,7 +44,7 @@ def warm_kernels():
     lincode.min_distance(g)
     lincode.bsc_success_exact(g, 0.1)
     lincode.bsc_monte_carlo(g, 0.1, trials=10, seed=0)
-    quantum_distance(load_stabilizer(data_path("single_z.stab")))
+    quantum_distance(load_stabilizer(data_path("eight_three.stab")))
 
 
 @contextmanager

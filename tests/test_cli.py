@@ -1,7 +1,11 @@
 import json
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stab2lin import _kernels, stabilizer
 from stab2lin.cli import main
 
 from util import data_path, rotated_surface_code
@@ -135,6 +139,34 @@ def test_distance_quantum():
 def test_distance_quantum_cap():
     res = run("distance", data_path("eight_three.stab"), "--quantum", "--cap", "2")
     assert res.output.strip() == "distance > 2 (cap exceeded)"
+
+
+def test_distance_quantum_k_zero_undefined():
+    res = run("distance", data_path("single_z.stab"), "--quantum")
+    assert res.exit_code == 0
+    assert res.output.strip() == "no logical operators (k = 0); distance undefined"
+    payload = json.loads(run("distance", data_path("single_z.stab"), "--quantum", "--json").stdout)
+    assert payload["distance"] is None and payload["exceeded"] is False
+    assert payload["stopped_by"] is None
+
+
+def test_distance_quantum_work_limit(tmp_path, monkeypatch):
+    path = tmp_path / "surface5.stab"
+    path.write_text("\n".join(rotated_surface_code(5).pauli_strings()) + "\n")
+    monkeypatch.setattr(stabilizer, "MAX_JOIN_ENTRIES", _kernels.join_entries(25, 4))
+    res = run("distance", path, "--quantum")
+    assert res.exit_code == 0
+    assert res.output.startswith("distance > 4 (work limit: searching weight 5 ")
+    payload = json.loads(run("distance", path, "--quantum", "--json").stdout)
+    assert payload["stopped_by"] == "work-limit" and payload["searched"] == 4
+    assert payload["distance"] is None and payload["exceeded"] is False
+
+
+def test_distance_quantum_cap_json():
+    res = run("distance", data_path("eight_three.stab"), "--quantum", "--cap", "2", "--json")
+    payload = json.loads(res.stdout)
+    assert payload["exceeded"] is True and payload["stopped_by"] == "cap"
+    assert (payload["distance"], payload["cap"], payload["searched"]) == (None, 2, 2)
 
 
 def test_distance_quantum_invalid_code_exit_one():
@@ -293,3 +325,70 @@ def test_pipeline_reproduces_shipped_summary_table(tmp_path):
         gfile.write_text("\n".join(ej["rows"]) + "\n")
         dc = json.loads(run("distance", gfile, "--classical", "--json").stdout)
         assert (dc["distance"], dc["t"]) == (int(row["d_classical"]), int(row["t_classical"]))
+
+
+# Exit-code fuzz: argv drawn from a small grammar over every command, flag
+# and value (bad numbers included) and random file text.
+NUMBERS = ("0", "1", "2", "-3", "0.05", "0.5", "0.7", "nan", "inf", "-inf", "1e-9", "abc", "")
+COMMAND_FLAGS = {
+    "validate": ("--json",),
+    "standardize": ("--json", "--ensure-r", "--depth", "-o"),
+    "extract": ("--json", "--ensure-r", "--depth", "-o"),
+    "distance": ("--json", "--quantum", "--classical", "--cap"),
+    "simulate": ("--json", "--delta", "--trials", "--seed", "--exact"),
+    "verify-phi": ("--json",),
+    "bounds": ("--json", "--channel", "--from", "--to", "--step", "-o"),
+    "no-such-command": ("--json",),
+}
+VALUED = {"--depth", "--cap", "--delta", "--trials", "--seed", "--from", "--to", "--step"}
+FILE_TEXT = st.one_of(
+    st.text(alphabet="IXYZ01|+# \n", max_size=40),
+    *(
+        st.integers(1, 6).flatmap(lambda n, a=alphabet: st.lists(
+            st.text(alphabet=a, min_size=n, max_size=n), min_size=1, max_size=6
+        )).map("\n".join)
+        for alphabet in ("IXYZ", "01")
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@st.composite
+def fuzz_argv(draw, fuzz_dir):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    if command != "bounds":
+        choice = draw(st.sampled_from(("stab", "gmat", "data", "missing")))
+        if choice == "data":
+            path = data_path(draw(st.sampled_from(
+                ("eight_three.stab", "five_one.stab", "single_z.stab", "seven_three.gmat",
+                 "eight_three_mutated.stab"))))
+        else:
+            path = fuzz_dir / f"input.{choice}"
+            path.unlink(missing_ok=True)
+            if choice != "missing":
+                path.write_text(draw(FILE_TEXT), encoding="utf-8")
+        argv.append(str(path))
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=4, unique=True)):
+        argv.append(flag)
+        if flag in VALUED:
+            argv.append(draw(st.sampled_from(NUMBERS)))
+        elif flag == "--channel":
+            argv.append(draw(st.sampled_from(("adversarial", "depolarizing", "bogus"))))
+        elif flag == "-o":
+            argv.append(str(fuzz_dir / "out.txt"))
+    return argv
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_exit_codes(fuzz_dir, data):
+    argv = data.draw(fuzz_argv(fuzz_dir))
+    res = runner.invoke(main, argv)
+    assert res.exit_code in (0, 1, 2), (argv, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (argv, res.exception)
+    assert "Traceback" not in res.output, argv

@@ -3,8 +3,11 @@ computation of the same quantity."""
 
 from itertools import product
 from math import comb
+from unittest import mock
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stab2lin import _kernels, gf2, pauli
 from stab2lin.formats import load_generator
@@ -106,6 +109,45 @@ def test_normalizer_min_weight_cap_returns_zero():
         assert d > 0
         assert _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, d - 1) == 0
         assert _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, d) == d
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(0, 2**32 - 1))))
+@settings(max_examples=30, deadline=None)
+# k = 1 codes where, with the 2-bit key below, the answer needs a probe joined
+# with a later one of several equal keys, not only the first
+@example((6, 5, 1020659597))
+@example((7, 6, 407062733))
+def test_normalizer_min_weight_join_matches_pauli_enumeration(case):
+    # every cap from 1 to n: odd and even w, the w = 1 join against an empty
+    # B list, and k = 0 (m = n) where nothing qualifies at any weight
+    n, m, seed = case
+    code = random_stabilizer_code(np.random.default_rng(seed), n, m)
+    red = gf2.rref(code.matrix)
+    span = red.matrix[: red.rank]
+    d = pauli_enumeration_min_weight(code, n)
+    assert (d == 0) == (m == n)
+    for cap in range(1, n + 1):
+        got = _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, cap)
+        assert got == (d if d <= cap else 0), cap
+    # the same search with every subset table streamed in blocks, and with a
+    # 2-bit join key, so that most generators are folded into the key, keys
+    # collide and the joined pairs must be checked against them exactly
+    with mock.patch.object(_kernels, "_TABLE_ENTRIES", 0), \
+            mock.patch.object(_kernels, "_KEY_BITS", 2):
+        got = _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, n)
+    assert got == d
+
+
+def test_join_entries_counts_both_lists():
+    # direct count of the A lists (first ceil(w/2) positions, last at b) and
+    # the B lists (floor(w/2) positions after b), 3 letters per position
+    for n in range(1, 9):
+        for w in range(1, n + 1):
+            h, l = (w + 1) // 2, w // 2
+            a = sum(comb(b, h - 1) for b in range(h - 1, n - l)) * 3**h
+            b_ = sum(comb(n - 1 - b, l) for b in range(h - 1, n - l)) * 3**l
+            assert _kernels.join_entries(n, w) == a + b_, (n, w)
 
 
 def scalar_errors(n, delta, trials, seed):

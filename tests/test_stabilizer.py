@@ -1,9 +1,10 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
-from stab2lin import gf2
+from stab2lin import _kernels, gf2, stabilizer
 from stab2lin.formats import load_stabilizer
 from stab2lin.pauli import pauli_weight_rows
 from stab2lin.stabilizer import (
@@ -24,7 +25,7 @@ from stab2lin.stabilizer import (
     verify_logical_algebra,
 )
 
-from util import data_path, random_elementary_op, random_stabilizer_code
+from util import data_path, random_elementary_op, random_stabilizer_code, rotated_surface_code
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +262,48 @@ def test_quantum_distance_cap_semantics(eight_three):
     assert res.exceeded
     assert res.value is None
     assert res.cap == 2
+
+
+def test_quantum_distance_k_zero_is_undefined(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("k = 0 must not run the search")
+
+    monkeypatch.setattr(_kernels, "normalizer_min_weight", no_search)
+    res = quantum_distance(load_stabilizer(data_path("single_z.stab")))
+    assert res.value is None and res.undefined
+    assert not res.exceeded and res.stopped_by is None
+
+
+def test_quantum_distance_work_limit(monkeypatch):
+    code = rotated_surface_code(5)
+    monkeypatch.setattr(stabilizer, "MAX_JOIN_ENTRIES", _kernels.join_entries(25, 4))
+    res = quantum_distance(code)
+    assert (res.value, res.searched, res.stopped_by) == (None, 4, "work-limit")
+    assert not res.exceeded and not res.undefined
+    # a cap below the limit is still a cap hit
+    res = quantum_distance(code, weight_cap=3)
+    assert (res.searched, res.stopped_by) == (3, "cap") and res.exceeded
+
+
+def test_quantum_distance_surface_d7_exact():
+    t0 = time.perf_counter()
+    res = quantum_distance(rotated_surface_code(7))
+    assert res.value == 7 and res.stopped_by is None
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_quantum_distance_wide_syndrome_direct_sum():
+    # nine surface d=3 blocks: n = 81, m = 72 > 63 generators, k = 9, d = 3;
+    # the join keys fold generators 63.. in, and the pairs are checked exactly
+    block = rotated_surface_code(3).matrix
+    mat = np.zeros((72, 162), np.uint8)
+    for i in range(9):
+        mat[8 * i : 8 * i + 8, 9 * i : 9 * i + 9] = block[:, :9]
+        mat[8 * i : 8 * i + 8, 81 + 9 * i : 81 + 9 * i + 9] = block[:, 9:]
+    code = StabilizerCode(mat, 81)
+    assert (code.m, code.k) == (72, 9)
+    assert quantum_distance(code).value == 3
+    assert quantum_distance(code, weight_cap=2).exceeded
 
 
 def test_quantum_distance_brute_oracle():
