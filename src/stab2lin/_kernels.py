@@ -5,11 +5,13 @@
   middle join of single-qubit syndromes, weight by weight; ``join_entries``
   is the number of keys it lists for one weight.
 - ``bsc_trial_successes`` and ``leader_trial_successes``: the two Monte Carlo
-  decoders for the binary symmetric channel.  The first compares each trial
-  with all 2^k codewords; the second looks the trial's syndrome up in a
-  coset-leader table over the 2^(n-k) syndromes.  Both draw their bit flips
-  from the same counter-based stream, so on one code they return the same
-  count; :func:`stab2lin.lincode.bsc_monte_carlo` runs whichever is cheaper.
+  decoders for the binary symmetric channel.  Both read one counter-based
+  flip stream, ``_trial_errors``, drawn in cache-sized blocks and packed into
+  uint64 error words, so on one code they return the same count.  The first
+  accepts every trial with 2 wt(e) <= d outright and compares only the rest
+  with all 2^k codewords; the second looks each trial's syndrome up, byte by
+  byte, in a coset-leader table over the 2^(n-k) syndromes.
+  :func:`stab2lin.lincode.bsc_monte_carlo` runs whichever is cheaper.
 
 Packing convention (shared with :mod:`stab2lin.gf2`): column ``c`` of a bit
 row lives in uint64 word ``c // 64`` at bit ``c % 64``.
@@ -39,10 +41,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _popcount_words(packed: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(packed).sum(axis=-1, dtype=np.int64)
+    """Weights of packed rows (last axis): uint8 for one word, else uint16."""
+    if packed.shape[-1] == 1:
+        return np.bitwise_count(packed[..., 0])
+    return np.bitwise_count(packed).sum(axis=-1, dtype=np.uint16)
 
 
-def _doubling_table(rows_packed: np.ndarray, upto: int) -> np.ndarray:
+def doubling_table(rows_packed: np.ndarray, upto: int) -> np.ndarray:
     """All XOR combinations of the first ``upto`` packed rows, 2^upto x words.
 
     Index bit ``j`` (LSB) selects row ``j``.
@@ -60,7 +65,7 @@ def codeword_weight_hist(rows: np.ndarray, n: int) -> np.ndarray:
     k = packed.shape[0]
     hist = np.zeros(n + 1, dtype=np.int64)
     base = min(k, 20)
-    table = _doubling_table(packed, base)
+    table = doubling_table(packed, base)
     cur = np.zeros(packed.shape[1], dtype=np.uint64)
     rest = packed[base:]
     for t in range(1 << (k - base)):
@@ -219,21 +224,40 @@ def normalizer_min_weight(
     return 0
 
 
-def _trial_flips(n: int, delta: float, start: int, stop: int, seed: int) -> np.ndarray:
-    """Bit flips of trials ``start .. stop-1`` as a (stop - start) x n bool array.
+# Draws per block of the flip stream (kept in cache), trials per chunk of the
+# Monte Carlo kernels, and distances per block of hard trials x codewords.
+_STREAM_BLOCK = 1 << 15
+_TRIAL_CHUNK = 1 << 16
+_DIST_BLOCK = 1 << 17
+
+
+def _trial_errors(n: int, delta: float, start: int, stop: int, seed: int) -> np.ndarray:
+    """Error words of trials ``start .. stop-1``, packed as (stop - start,
+    words) uint64 rows in the :func:`stab2lin.gf2.pack_rows` convention.
 
     Bit ``j`` of trial ``i`` flips when u < delta, where u = (z >> 11) * 2^-53
     and z is splitmix64 of (i * n + j + 1) * golden + seed.  It is a pure
-    function of (seed, i * n + j), so any split of the trials into chunks
-    draws the same flips.
+    function of (seed, i * n + j), so any split of the trials into ranges
+    draws the same flips.  The draws are made about ``_STREAM_BLOCK`` at a
+    time and packed little-endian (``np.packbits``) straight into the rows.
     """
-    z = np.arange(start * n + 1, stop * n + 1, dtype=np.uint64)
-    z *= _GOLDEN
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    _mix64(z)
+    out = np.zeros((stop - start, 8 * -(-n // 64)), dtype=np.uint8)
     # z >> 11 < 2^53, and delta * 2^53 <= 2^52 is exact, so u < delta holds
     # iff z >> 11 < ceil(delta * 2^53), i.e. iff z < ceil(delta * 2^53) << 11
-    return (z < np.uint64(ceil(delta * 2**53) << 11)).reshape(stop - start, n)
+    limit = np.uint64(ceil(delta * 2**53) << 11)
+    step = max(1, _STREAM_BLOCK // n)
+    ramp = np.arange(1, step * n + 1, dtype=np.uint64) * _GOLDEN  # (i*n + j + 1) * golden
+    for lo in range(0, stop - start, step):
+        hi = min(stop - start, lo + step)
+        z = ramp[: (hi - lo) * n] + np.uint64(((start + lo) * n * int(_GOLDEN) + seed) % 2**64)
+        flips = (_mix64(z) < limit).reshape(hi - lo, n)
+        out[lo:hi, : -(-n // 8)] = np.packbits(flips, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def min_row_weight(codewords: np.ndarray, n: int) -> int:
+    """d: the least weight of a nonzero row (row 0 is the zero codeword)."""
+    return int(_popcount_words(codewords[1:]).min(initial=2 * n))
 
 
 def bsc_trial_successes(
@@ -242,21 +266,30 @@ def bsc_trial_successes(
     """Number of trials where the zero codeword's message is recovered.
 
     Each trial is decoded against every row of ``codewords`` (indexed by
-    message, message 0 first); it succeeds when the first nearest row is row 0.
+    message, message 0 first); it succeeds when the first nearest row is row
+    0, i.e. when no row is strictly closer to the error e than row 0.  That
+    holds without a comparison when 2 wt(e) <= d: every row c != 0 has
+    wt(e + c) >= d - wt(e) >= wt(e).  Only the other, hard, trials are
+    compared with the rows, a block of hard trials and rows at a time.
     """
-    ncw, words = codewords.shape
-    chunk = max(1, (1 << 22) // max(ncw, 1))
+    d = min_row_weight(codewords, n)
+    rows = codewords[1:]
+    cw_step = max(1, min(len(rows), _DIST_BLOCK))
+    tr_step = max(1, _DIST_BLOCK // cw_step)
     succ = 0
-    for start in range(0, trials, chunk):
-        stop = min(trials, start + chunk)
-        flips = _trial_flips(n, delta, start, stop, seed)
-        err = np.zeros((stop - start, words), dtype=np.uint64)
-        for j in range(n):
-            err[:, j // 64] |= flips[:, j].astype(np.uint64) << np.uint64(j % 64)
-        dist = np.bitwise_count(err[:, None, :] ^ codewords[None, :, :]).sum(
-            axis=2, dtype=np.int64
-        )
-        succ += int((dist.argmin(axis=1) == 0).sum())
+    for start in range(0, trials, _TRIAL_CHUNK):
+        err = _trial_errors(n, delta, start, min(trials, start + _TRIAL_CHUNK), seed)
+        wt = _popcount_words(err)
+        hard = wt > d // 2
+        succ += int(hard.size - hard.sum())
+        err, wt = err[hard], wt[hard]
+        for lo in range(0, err.shape[0], tr_step):
+            e = err[lo : lo + tr_step, None, :]
+            nearest = np.full(e.shape[0], n, dtype=np.int64)
+            for c in range(0, len(rows), cw_step):
+                dist = _popcount_words(e ^ rows[None, c : c + cw_step])
+                np.minimum(nearest, dist.min(axis=1), out=nearest)
+            succ += int((nearest >= wt[lo : lo + tr_step]).sum())
     return succ
 
 
@@ -273,14 +306,20 @@ def leader_trial_successes(
     ``syndrome_cols[j]`` is the syndrome of the single-bit error e_j and
     ``leader_weight[s]`` the minimum weight of the coset with syndrome s.  An
     error e decodes to message 0 iff no codeword is strictly closer to it than
-    the zero codeword, i.e. iff wt(e) equals its coset's minimum weight.
+    the zero codeword, i.e. iff wt(e) equals its coset's minimum weight.  The
+    syndrome of a packed error is the XOR, over its bytes, of 256-entry tables
+    of each byte's syndromes.
     """
-    cols = np.asarray(syndrome_cols, dtype=np.int64)
-    chunk = max(1, (1 << 20) // n)
+    cols = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
+    cols[:n] = syndrome_cols
+    # tables[b][v]: the syndrome of byte value v at byte b of the error word
+    tables = doubling_table(cols.reshape(-1, 8).T, 8).T.copy()
     succ = 0
-    for start in range(0, trials, chunk):
-        stop = min(trials, start + chunk)
-        flips = _trial_flips(n, delta, start, stop, seed)
-        syn = np.bitwise_xor.reduce(np.where(flips, cols, 0), axis=1)
-        succ += int((flips.sum(axis=1) == leader_weight[syn]).sum())
+    for start in range(0, trials, _TRIAL_CHUNK):
+        err = _trial_errors(n, delta, start, min(trials, start + _TRIAL_CHUNK), seed)
+        by = err.view(np.uint8)
+        syn = tables[0][by[:, 0]]
+        for b in range(1, len(tables)):
+            syn ^= tables[b][by[:, b]]
+        succ += int((_popcount_words(err) == leader_weight[syn]).sum())
     return succ

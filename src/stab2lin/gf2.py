@@ -20,8 +20,11 @@ RowOp = tuple[int, int]
 
 
 def as_bits(values, *, copy: bool = True) -> np.ndarray:
-    """Coerce to a uint8 array of 0/1 entries, validating the alphabet."""
-    arr = np.array(values, dtype=np.uint8, copy=copy)
+    """Coerce to a uint8 array of 0/1 entries, validating the alphabet.
+
+    With ``copy=False`` a uint8 array is used as is; other input is converted.
+    """
+    arr = np.array(values, dtype=np.uint8, copy=copy or None)
     if arr.size and arr.max() > 1:
         raise ValueError("entries must be 0 or 1")
     return arr
@@ -93,8 +96,19 @@ def replay_row_ops(m: np.ndarray, trace: list[RowOp]) -> np.ndarray:
 
 
 def rank(m: np.ndarray) -> int:
-    """Dimension of the row span over GF(2)."""
-    return rref(m).rank
+    """Dimension of the row span over GF(2), from an XOR basis of the rows
+    as Python integers (no row-op trace), one basis row per leading bit."""
+    mat = as_bits(m, copy=False)
+    if mat.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    basis: dict[int, int] = {}
+    for row in np.packbits(mat, axis=1, bitorder="little"):
+        v = int.from_bytes(row.tobytes(), "little")
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,25 +153,14 @@ def in_rowspan(m_rref: RrefResult, v: np.ndarray) -> bool:
 
 def pack_rows(m: np.ndarray) -> np.ndarray:
     """Pack bit rows into uint64 words, LSB-first within each word."""
-    m = as_bits(m, copy=False)
-    if m.ndim == 1:
-        m = m[None, :]
+    m = np.atleast_2d(as_bits(m, copy=False))
     rows, cols = m.shape
-    words = max(1, (cols + 63) // 64)
-    out = np.zeros((rows, words), dtype=np.uint64)
-    for c in range(cols):
-        col = m[:, c].astype(np.uint64)
-        out[:, c // 64] |= col << np.uint64(c % 64)
-    return out
+    out = np.zeros((rows, 8 * max(1, -(-cols // 64))), dtype=np.uint8)
+    out[:, : -(-cols // 8)] = np.packbits(m, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
 def unpack_rows(packed: np.ndarray, cols: int) -> np.ndarray:
     """Inverse of ``pack_rows`` for a known column count."""
-    packed = np.asarray(packed, dtype=np.uint64)
-    if packed.ndim == 1:
-        packed = packed[None, :]
-    rows = packed.shape[0]
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for c in range(cols):
-        out[:, c] = (packed[:, c // 64] >> np.uint64(c % 64)).astype(np.uint8) & 1
-    return out
+    packed = np.atleast_2d(np.ascontiguousarray(packed, dtype="<u8"))
+    return np.unpackbits(packed.view(np.uint8), axis=1, count=cols, bitorder="little")

@@ -10,17 +10,20 @@ over the 2^(n-k) syndromes:
 
 - exact: the leader weights and leader counts of every coset give the
   histogram of corrected patterns by weight, for n - k <= NK_EXACT_LIMIT;
-- Monte Carlo: when k >= n - k, a trial succeeds iff its weight equals the
-  leader weight of its syndrome; when k < n - k, comparing each trial with
-  the 2^k codewords is cheaper, and that path runs instead.  Per-trial
-  randomness is a pure function of (seed, trial index), so the count does not
-  depend on batching, scheduling or which path ran.
+- Monte Carlo: when n - k <= min(k, NK_EXACT_LIMIT), a trial succeeds iff
+  its weight equals the leader weight of its syndrome; otherwise each trial
+  is decoded against the 2^k codewords.  There, a trial with 2 wt(e) <= d
+  (bounded-distance decoding) succeeds without a comparison, and the others
+  cost 2^k comparisons each; a run predicted above MAX_MC_COMPARISONS is
+  refused.  Per-trial randomness is a pure function of (seed, trial index),
+  drawn as one packed stream, so the count does not depend on batching,
+  scheduling or which path ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import comb, exp, lgamma, log, log1p, sqrt
 
 import numpy as np
 
@@ -30,6 +33,9 @@ K_ENUM_LIMIT = 28  # 2^k codeword sweeps
 NK_EXACT_LIMIT = 23  # 2^(n-k) coset-leader tables
 K_TABLE_LIMIT = 24  # in-memory codeword tables for decoding
 _CHUNK = 1 << 20  # array elements per frontier chunk in _leaders_by_search
+# bsc_monte_carlo refuses a codeword-path run predicted to compare more
+# trial-codeword pairs than this: 30-40 s at the measured 1.5-2 ns per pair.
+MAX_MC_COMPARISONS = 2 * 10**10
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,7 @@ def codeword_table(g: GeneratorMatrix) -> np.ndarray:
     """
     if g.k > K_TABLE_LIMIT:
         raise ValueError(f"k = {g.k} too large for an in-memory codeword table")
-    packed = gf2.pack_rows(g.rows)
-    table = np.zeros((1 << g.k, packed.shape[1]), dtype=np.uint64)
-    for j in range(g.k):
-        table[1 << j : 2 << j] = table[: 1 << j] ^ packed[g.k - 1 - j]
-    return table
+    return _kernels.doubling_table(gf2.pack_rows(g.rows)[::-1], g.k)
 
 
 @dataclass(frozen=True)
@@ -285,6 +287,18 @@ def success_from_histogram(hist: np.ndarray, n: int, delta: float) -> float:
     return float(terms.sum())
 
 
+def _hard_fraction(n: int, d: int, delta: float) -> float:
+    """P[Bin(n, delta) > d/2]: the share of trials that the codeword path
+    compares with every codeword."""
+    if delta == 0.0:
+        return 0.0
+    lp, lq = log(delta), log1p(-delta)
+    return sum(
+        exp(lgamma(n + 1) - lgamma(w + 1) - lgamma(n - w + 1) + w * lp + (n - w) * lq)
+        for w in range(d // 2 + 1, n + 1)
+    )
+
+
 def bsc_monte_carlo(
     g: GeneratorMatrix, delta: float, trials: int, seed: int
 ) -> ChannelReport:
@@ -294,7 +308,9 @@ def bsc_monte_carlo(
     path), flips bits independently with probability delta, and counts trials
     whose decode returns message 0.  Decodes by syndrome lookup when
     n - k <= k (and n - k <= NK_EXACT_LIMIT), against the codeword table
-    otherwise; both give the same count.
+    otherwise; both give the same count.  The codeword path compares about
+    trials * P[wt(e) > d/2] * 2^k trial-codeword pairs; above
+    MAX_MC_COMPARISONS it raises ValueError before decoding.
     """
     delta = _check_delta(delta)
     if trials < 1:
@@ -305,7 +321,17 @@ def bsc_monte_carlo(
             table.syndrome_cols, table.min_weight, g.n, delta, trials, seed
         )
     else:
-        succ = _kernels.bsc_trial_successes(codeword_table(g), g.n, delta, trials, seed)
+        table = codeword_table(g)
+        d = _kernels.min_row_weight(table, g.n)
+        work = trials * _hard_fraction(g.n, d, delta) * len(table)
+        if work > MAX_MC_COMPARISONS:
+            raise ValueError(
+                f"Monte Carlo would compare about {work:.2g} trial-codeword pairs "
+                f"(trials * P[wt(e) > d/2] * 2^k, with d = {d}), above the limit "
+                f"{MAX_MC_COMPARISONS:.0e}; use fewer trials, or a code with "
+                f"n - k <= min(k, {NK_EXACT_LIMIT}), which is decoded by syndrome lookup"
+            )
+        succ = _kernels.bsc_trial_successes(table, g.n, delta, trials, seed)
     p = succ / trials
     return ChannelReport(
         delta=delta,

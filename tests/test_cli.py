@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from stab2lin import _kernels, stabilizer
 from stab2lin.cli import main
 
-from util import data_path, rotated_surface_code
+from util import data_path, random_code, rotated_surface_code
 
 runner = CliRunner()
 
@@ -233,6 +234,19 @@ def test_simulate_exact_limit_exit_one(tmp_path):
     assert res.exit_code == 1
     assert "n - k" in res.output and "Monte Carlo" in res.output
     assert run("simulate", path, "--delta", "0.1", "--trials", "200").exit_code == 0
+
+
+def test_simulate_monte_carlo_work_guard_exit_one(tmp_path):
+    # a (50,22) code on the codeword path: 20000 trials at delta = 0.1 would
+    # compare about 6e10 trial-codeword pairs, so it is refused up front
+    path = tmp_path / "fifty_22.gmat"
+    rows = random_code(50, 22, 0, False, False).rows
+    path.write_text("".join("".join(map(str, r)) + "\n" for r in rows), encoding="utf-8")
+    start = time.perf_counter()
+    res = run("simulate", path, "--delta", "0.1", "--trials", "20000")
+    assert time.perf_counter() - start < 5
+    assert res.exit_code == 1
+    assert "fewer trials" in res.output and "syndrome lookup" in res.output
 
 
 def test_verify_phi_passes():

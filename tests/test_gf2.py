@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stab2lin import gf2
 
@@ -134,6 +136,13 @@ def test_nullspace_orthogonal_and_full():
             assert gf2.rank(ns) == ns.shape[0]
 
 
+def test_list_and_int64_inputs():
+    # copy=False must still convert input that is not a uint8 array
+    assert gf2.rank([[1, 0], [0, 1], [1, 1]]) == 2
+    assert gf2.pack_rows([[1, 0, 1]]).tolist() == [[5]]
+    assert gf2.mat_mul(np.array([[1, 1]]), [[1], [1]]).tolist() == [[0]]
+
+
 def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(9)
     for cols in (1, 7, 63, 64, 65, 130):
@@ -146,3 +155,17 @@ def test_in_rowspan():
     red = gf2.rref(m)
     assert gf2.in_rowspan(red, np.array([1, 1, 0], dtype=np.uint8))
     assert not gf2.in_rowspan(red, np.array([1, 0, 0], dtype=np.uint8))
+
+
+@given(st.integers(0, 10).flatmap(lambda r: st.tuples(
+    st.just(r), st.integers(0, 150), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))))
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_rref(case):
+    # zero rows, repeated rows, sparse and dense rows, more than 64 columns
+    rows, cols, seed, density = case
+    rng = np.random.default_rng(seed)
+    m = (rng.random((rows, cols)) < density).astype(np.uint8)
+    if rows > 2:
+        m[rng.integers(rows)] = 0
+        m[rng.integers(rows)] = m[rng.integers(rows)] ^ m[rng.integers(rows)]
+    assert gf2.rank(m) == gf2.rref(m).rank

@@ -150,10 +150,10 @@ def test_join_entries_counts_both_lists():
             assert _kernels.join_entries(n, w) == a + b_, (n, w)
 
 
-def scalar_errors(n, delta, trials, seed):
+def scalar_errors(n, delta, trials, seed, start=0):
     """Oracle: the documented counter-based stream, one bit at a time in
     Python integers (splitmix64 of (i * n + j + 1) * golden + seed)."""
-    for i in range(trials):
+    for i in range(start, trials):
         e = np.zeros(n, np.uint8)
         for j in range(n):
             z = ((i * n + j + 1) * 0x9E3779B97F4A7C15 + seed) & MASK64
@@ -168,6 +168,18 @@ def scalar_successes(g, delta, trials, seed):
     return sum(
         not decode_nearest(g, e).message.any() for e in scalar_errors(g.n, delta, trials, seed)
     )
+
+
+def scalar_leader_successes(cols, leader_weight, n, delta, trials, seed):
+    """Oracle for the syndrome lookup: each trial's syndrome as a Python XOR
+    of the columns of its flipped bits."""
+    succ = 0
+    for e in scalar_errors(n, delta, trials, seed):
+        syn = 0
+        for j in np.flatnonzero(e):
+            syn ^= int(cols[j])
+        succ += int(e.sum()) == leader_weight[syn]
+    return succ
 
 
 def test_bsc_trial_successes_matches_scalar_decoder():
@@ -189,9 +201,84 @@ def test_leader_trial_successes_matches_scalar_decoder():
             assert got == scalar_successes(g, delta, 400, seed)
 
 
-def test_trial_flips_chunk_invariant():
-    # any split of the trials into chunks must draw the same flips
-    whole = _kernels._trial_flips(7, 0.2, 0, 3000, 5)
-    parts = [_kernels._trial_flips(7, 0.2, a, b, 5) for a, b in ((0, 1), (1, 1234), (1234, 3000))]
+def test_trial_errors_chunk_invariant():
+    # any split of the trials into ranges draws the same flips, across the
+    # default block of 32768 // 7 = 4681 trials too
+    whole = _kernels._trial_errors(7, 0.2, 0, 10000, 5)
+    cuts = (0, 1, 1234, 4681, 4682, 9999, 10000)
+    parts = [_kernels._trial_errors(7, 0.2, a, b, 5) for a, b in zip(cuts, cuts[1:])]
     assert np.array_equal(whole, np.vstack(parts))
-    assert np.array_equal(whole, np.array(list(scalar_errors(7, 0.2, 3000, 5)), bool))
+    assert np.array_equal(whole, gf2.pack_rows(np.array(list(scalar_errors(7, 0.2, 10000, 5)))))
+
+
+@given(
+    st.integers(1, 140),
+    st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    st.integers(-(2**63), 2**64 - 1),
+    st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    st.integers(1, 300),
+)
+@settings(max_examples=60, deadline=None)
+def test_trial_errors_match_scalar_stream(n, delta, seed, cuts, block):
+    # small blocks so that trials straddle block boundaries, any split into
+    # start/stop ranges, and n > 64 for multiword rows
+    cuts = np.cumsum([0] + cuts).tolist()
+    bits = np.array(list(scalar_errors(n, delta, cuts[-1], seed)), np.uint8).reshape(-1, n)
+    expected = gf2.pack_rows(bits)
+    with mock.patch.object(_kernels, "_STREAM_BLOCK", block):
+        got = [_kernels._trial_errors(n, delta, a, b, seed) for a, b in zip(cuts, cuts[1:])]
+    assert all(p.dtype == np.uint64 for p in got)
+    assert np.array_equal(np.vstack(got), expected)
+    if delta == 0.0:
+        assert not expected.any()
+
+
+@st.composite
+def small_codes(draw):
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = np.array(draw(st.lists(bits, min_size=k, max_size=k)), np.uint8)
+    if gf2.rank(rows) < k:
+        rows[:, :k] = np.eye(k, dtype=np.uint8)
+    return GeneratorMatrix(rows)
+
+
+# even d: the (4,1) repetition code (d = 4) and (I | I) (d = 2), where errors
+# with 2 wt(e) = d tie with another codeword and must count as successes
+@example(GeneratorMatrix(np.ones((1, 4), np.uint8)), 0.5, 7, 1, 1)
+@example(GeneratorMatrix(np.hstack([np.eye(3, dtype=np.uint8)] * 2)), 0.4, 3, 2, 1)
+@given(
+    small_codes(),
+    st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 40),
+    st.integers(1, 80),
+)
+@settings(max_examples=60, deadline=None)
+def test_both_kernels_match_scalar_decoder(g, delta, seed, chunk, block):
+    # small trial chunks and distance blocks, so that the hard trials are
+    # compared in several blocks of trials and of codewords
+    trials = 150
+    expected = scalar_successes(g, delta, trials, seed)
+    t = coset_leaders(g)
+    with mock.patch.object(_kernels, "_TRIAL_CHUNK", chunk), \
+            mock.patch.object(_kernels, "_DIST_BLOCK", block):
+        assert _kernels.bsc_trial_successes(codeword_table(g), g.n, delta, trials, seed) == expected
+        got = _kernels.leader_trial_successes(t.syndrome_cols, t.min_weight, g.n, delta, trials, seed)
+    assert got == expected
+
+
+def test_kernels_multiword():
+    # n = 70 > 64: a (70, 3) code on the codeword path and a (70, 52) code on
+    # the syndrome path, whose bytes past the first word carry syndromes
+    rng = np.random.default_rng(7)
+    low = GeneratorMatrix(independent_rows(rng, 3, 70))
+    assert _kernels.bsc_trial_successes(codeword_table(low), 70, 0.3, 120, 4) == \
+        scalar_successes(low, 0.3, 120, 4)
+    high = GeneratorMatrix(np.hstack([np.eye(52, dtype=np.uint8),
+                                      rng.integers(0, 2, (52, 18)).astype(np.uint8)]))
+    t = coset_leaders(high)
+    for delta in (0.02, 0.1):
+        got = _kernels.leader_trial_successes(t.syndrome_cols, t.min_weight, 70, delta, 300, 9)
+        assert got == scalar_leader_successes(t.syndrome_cols, t.min_weight, 70, delta, 300, 9)

@@ -1,3 +1,7 @@
+import math
+from math import comb
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +22,7 @@ from stab2lin.lincode import (
     min_distance,
 )
 
-from util import data_path
+from util import data_path, random_code
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +254,34 @@ def test_monte_carlo_rejects_bad_trials(g52):
         bsc_monte_carlo(g52, 0.1, trials=0, seed=0)
 
 
+def test_monte_carlo_work_guard_refuses_before_decoding():
+    # a (50,22) code takes the codeword path (k < n - k); 20000 trials at
+    # delta = 0.1 would compare about 6e10 trial-codeword pairs
+    g = random_code(50, 22, 0, False, False)
+    with mock.patch.object(_kernels, "bsc_trial_successes", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="fewer trials.*syndrome lookup"):
+            bsc_monte_carlo(g, 0.1, trials=20_000, seed=0)
+
+
+def test_monte_carlo_work_guard_refuses_only_above_its_limit(g73):
+    # (7,3) takes the codeword path, 2^3 codewords per compared trial
+    d = _kernels.min_row_weight(codeword_table(g73), 7)
+    work = 5000 * lincode._hard_fraction(7, d, 0.2) * 8
+    with mock.patch.object(lincode, "MAX_MC_COMPARISONS", work):
+        assert bsc_monte_carlo(g73, 0.2, 5000, 1).trials == 5000
+    with mock.patch.object(lincode, "MAX_MC_COMPARISONS", math.nextafter(work, 0)):
+        with pytest.raises(ValueError, match="fewer trials"):
+            bsc_monte_carlo(g73, 0.2, 5000, 1)
+
+
+def test_hard_fraction_is_the_binomial_tail():
+    for n, d, delta in ((7, 3, 0.2), (7, 4, 0.2), (24, 6, 0.05), (50, 9, 0.5), (30, 1, 0.0)):
+        tail = sum(comb(n, w) * delta**w * (1 - delta) ** (n - w) for w in range(n + 1) if 2 * w > d)
+        assert lincode._hard_fraction(n, d, delta) == pytest.approx(tail, rel=1e-9, abs=1e-300)
+    # n past float range for comb(n, w)
+    assert lincode._hard_fraction(3000, 2, 0.5) == pytest.approx(1.0)
+
+
 def test_correctability_coset_property(g52):
     # for tie-free patterns, correctability does not depend on the codeword;
     # tie patterns resolve toward the smaller message and may fail elsewhere
@@ -282,25 +314,6 @@ def test_codeword_table_message_order(g73):
 # ---------------------------------------------------------------------------
 # differential tests of the coset-leader table against brute force
 # ---------------------------------------------------------------------------
-
-
-def random_code(n, k, seed, zero_col, repeat_col):
-    """A random (n, k) code from a systematic (I_k | A), with rows mixed and
-    columns shuffled.  H = (A^T | I): ``zero_col`` zeroes row 0 of A, giving
-    a zero H column (a weight-1 codeword); ``repeat_col`` copies row 0 of A
-    into the last row, giving two equal H columns (a weight-2 codeword)."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 2, size=(k, n - k)).astype(np.uint8)
-    if zero_col:
-        a[0] = 0
-    if repeat_col and k > 1:
-        a[-1] = a[0]
-    rows = np.hstack([np.eye(k, dtype=np.uint8), a])
-    for _ in range(k):
-        i, j = rng.integers(0, k, size=2)
-        if i != j:
-            rows[i] ^= rows[j]
-    return GeneratorMatrix(rows[:, rng.permutation(n)])
 
 
 @st.composite

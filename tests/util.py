@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from stab2lin import gf2
+from stab2lin.lincode import GeneratorMatrix
 from stab2lin.stabilizer import (
     COLUMN_ADDITION,
     COLUMN_SWITCH,
@@ -25,6 +26,25 @@ def data_path(name: str) -> str:
 
 def random_bit_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+
+
+def random_code(n, k, seed, zero_col, repeat_col):
+    """A random (n, k) code from a systematic (I_k | A), with rows mixed and
+    columns shuffled.  H = (A^T | I): ``zero_col`` zeroes row 0 of A, giving
+    a zero H column (a weight-1 codeword); ``repeat_col`` copies row 0 of A
+    into the last row, giving two equal H columns (a weight-2 codeword)."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=(k, n - k)).astype(np.uint8)
+    if zero_col:
+        a[0] = 0
+    if repeat_col and k > 1:
+        a[-1] = a[0]
+    rows = np.hstack([np.eye(k, dtype=np.uint8), a])
+    for _ in range(k):
+        i, j = rng.integers(0, k, size=2)
+        if i != j:
+            rows[i] ^= rows[j]
+    return GeneratorMatrix(rows[:, rng.permutation(n)])
 
 
 def random_stabilizer_code(rng: np.random.Generator, n: int, m: int) -> StabilizerCode:
