@@ -1,9 +1,11 @@
 """Command-line frontend: validate -> standardize -> extract -> analyze ->
 simulate -> bounds.
 
-Exit codes: 0 success, 1 domain failure (invalid code, failed verification,
-exhausted search), 2 usage or parse error.  Every command is deterministic
-for fixed flags and seed, and mirrors its report as JSON under --json.
+Exit codes: 0 success, 1 domain failure (invalid code, failed verification),
+2 usage or parse error.  Every command is deterministic for fixed flags and
+seed, and mirrors its report as JSON under --json.  ``--ensure-r`` on
+standardize and extract applies the fewest column operations that give
+r >= 1 (``stabilizer.ensure_positive_r``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .formats import (
 )
 from ._kernels import join_entries
 from .stabilizer import (
-    SearchExhaustedError,
     StabilizerCode,
     ensure_positive_r,
     quantum_distance,
@@ -110,27 +111,23 @@ def validate(file, as_json):
     sys.exit(0 if report.ok else 1)
 
 
-def _standardized(file, ensure_r, depth):
+def _standardized(file, ensure_r):
+    """The standard form of the file's code, after ``ensure_positive_r``
+    under --ensure-r; the EnsureRResult is None without it."""
     code = _load_valid_stab(file, "standardize")
-    ops = []
-    if ensure_r:
-        try:
-            result = ensure_positive_r(code, max_depth=depth)
-        except SearchExhaustedError as exc:
-            _fail(f"ensure-r search exhausted: {exc}", 1)
-        code, ops = result.code, result.ops
-    return code, to_standard_form(code), ops
+    result = ensure_positive_r(code) if ensure_r else None
+    return to_standard_form(result.code if result else code), result
 
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--ensure-r", is_flag=True, help="apply column ops until r >= 1")
-@click.option("--depth", default=2, show_default=True, help="ensure-r search depth")
+@click.option("--ensure-r", is_flag=True, help="apply the fewest column ops that give r >= 1")
 @click.option("-o", "out", type=click.Path(dir_okay=False), default=None)
 @click.option("--json", "as_json", is_flag=True)
-def standardize(file, ensure_r, depth, out, as_json):
+def standardize(file, ensure_r, out, as_json):
     """Reduce a stabilizer file to standard form."""
-    _, sf, ops = _standardized(file, ensure_r, depth)
+    sf, result = _standardized(file, ensure_r)
+    ops = result.ops if result else []
     std_code = sf.code()
     perm = [int(p) + 1 for p in sf.qubit_permutation]
     if as_json:
@@ -142,6 +139,7 @@ def standardize(file, ensure_r, depth, out, as_json):
                 "qubit_permutation": perm,
                 "generators": std_code.pauli_strings(),
                 "ensure_r_ops": [[op.kind, list(op.indices)] for op in ops],
+                "ensure_r_minimal": result.minimal if result else None,
                 "trace_length": len(sf.op_trace),
             }
         )
@@ -155,18 +153,19 @@ def standardize(file, ensure_r, depth, out, as_json):
         comments.append(
             "ensure-r ops: " + "; ".join(f"{op.kind}{op.indices}" for op in ops)
         )
+    if result and not result.minimal:
+        comments.append("ensure-r ops not proven minimal (subset search capped)")
     _write_out(write_stabilizer_text(std_code, comments), out)
 
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--ensure-r", is_flag=True, help="apply column ops until r >= 1")
-@click.option("--depth", default=2, show_default=True, help="ensure-r search depth")
+@click.option("--ensure-r", is_flag=True, help="apply the fewest column ops that give r >= 1")
 @click.option("-o", "out", type=click.Path(dir_okay=False), default=None)
 @click.option("--json", "as_json", is_flag=True)
-def extract(file, ensure_r, depth, out, as_json):
+def extract(file, ensure_r, out, as_json):
     """Extract the classical binary linear code of a stabilizer file."""
-    _, sf, _ = _standardized(file, ensure_r, depth)
+    sf, _ = _standardized(file, ensure_r)
     if sf.k == 0:
         _fail("no encoded qubits, no classical code (k = 0)", 1)
     result = extract_classical(sf, provenance=str(file))

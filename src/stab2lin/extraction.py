@@ -57,8 +57,3 @@ def extract_classical(sf: StandardForm, provenance: str = "") -> ExtractionResul
         source_n=sf.n,
         provenance=provenance,
     )
-
-
-def parity_check(sf: StandardForm) -> np.ndarray:
-    """The s x (n - r) parity-check companion (I_s | A1) of the extraction."""
-    return np.hstack([np.eye(sf.s, dtype=np.uint8), sf.a1])

@@ -75,9 +75,18 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
     return StabilizerCode(np.array(rows, dtype=np.uint8), n)
 
 
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from exc
+
+
 def load_stabilizer(path) -> StabilizerCode:
-    with open(path, encoding="utf-8") as fh:
-        return parse_stabilizer_text(fh.read())
+    return parse_stabilizer_text(_read_text(path))
 
 
 def write_stabilizer_text(code: StabilizerCode, comments: list[str] | None = None) -> str:
@@ -103,8 +112,7 @@ def parse_generator_text(text: str) -> GeneratorMatrix:
 
 
 def load_generator(path) -> GeneratorMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return parse_generator_text(fh.read())
+    return parse_generator_text(_read_text(path))
 
 
 def write_generator_text(g: GeneratorMatrix, comments: list[str] | None = None) -> str:

@@ -142,15 +142,6 @@ def nullspace(m: np.ndarray) -> np.ndarray:
     return basis
 
 
-def in_rowspan(m_rref: RrefResult, v: np.ndarray) -> bool:
-    """Membership of ``v`` in the row span, given a precomputed RREF."""
-    v = as_bits(v)
-    for i, p in enumerate(m_rref.pivots):
-        if v[p]:
-            v ^= m_rref.matrix[i]
-    return not v.any()
-
-
 def pack_rows(m: np.ndarray) -> np.ndarray:
     """Pack bit rows into uint64 words, LSB-first within each word."""
     m = np.atleast_2d(as_bits(m, copy=False))

@@ -107,11 +107,6 @@ def min_distance(g: GeneratorMatrix) -> MinDistanceResult:
     )
 
 
-def max_correctable(g: GeneratorMatrix) -> int:
-    """t = floor((d - 1) / 2)."""
-    return (min_distance(g).distance - 1) // 2
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     message: np.ndarray

@@ -105,13 +105,6 @@ def symplectic_product_rows(rows: np.ndarray) -> np.ndarray:
     return (gf2.mat_mul(a, b.T) ^ gf2.mat_mul(b, a.T)).astype(np.uint8)
 
 
-def pauli_weight_rows(rows: np.ndarray) -> np.ndarray:
-    """Pauli weight of each 2n-bit row."""
-    rows = gf2.as_bits(rows, copy=False)
-    n = rows.shape[1] // 2
-    return np.count_nonzero(rows[:, :n] | rows[:, n:], axis=1)
-
-
 SignedPauli = tuple[int, int, int]
 
 

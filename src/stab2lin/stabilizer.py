@@ -16,7 +16,8 @@ the column permutation mapped back to original qubit positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -31,10 +32,6 @@ COLUMN_ADDITION = "column-addition"
 
 class StandardFormError(RuntimeError):
     """The D-block obstruction: r2 > 0 on input claimed valid."""
-
-
-class SearchExhaustedError(RuntimeError):
-    """ensure_positive_r found no column-operation sequence within depth."""
 
 
 @dataclass(frozen=True)
@@ -290,37 +287,80 @@ def to_standard_form(code: StabilizerCode) -> StandardForm:
     return sf
 
 
+# ensure_positive_r stops before the first subset size j whose C(m, j)
+# generator subsets exceed this.  At about 1 us per subset on one core a level
+# costs at most 0.2 s; the worst whole search, m = 20 with every level under
+# the cap, visits 2^20 subsets in about 1 s.
+MAX_ENSURE_R_SUBSETS = 2 * 10**5
+
+
 @dataclass(frozen=True)
 class EnsureRResult:
+    """An equivalent code with r >= 1 and the column operations that give it.
+
+    ``minimal`` is False when a subset size was skipped under
+    ``MAX_ENSURE_R_SUBSETS``, so a shorter or tie-preferred list may exist.
+    """
+
     code: StabilizerCode
     ops: list[ElementaryOp]
+    minimal: bool = True
 
     @property
     def changed(self) -> bool:
         return bool(self.ops)
 
 
-def ensure_positive_r(code: StabilizerCode, max_depth: int = 2) -> EnsureRResult:
-    """Find an equivalent code whose standard form has r >= 1.
+def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
+    """An equivalent code whose standard form has r >= 1, reached by the
+    fewest column-switch / column-addition operations.
 
-    Breadth-first search over column-switch / column-addition sequences up to
-    ``max_depth`` ops, re-running the reduction per candidate.  Returns the
-    input unchanged when it already has r >= 1.
+    r >= 1 iff some nonzero stabilizer element is Z-type.  A switch turns an
+    X letter into Z and an addition turns a Y letter into Z, so the fewest
+    operations is the least X-part weight over the nonzero stabilizer
+    elements: one switch per X letter and one addition per Y letter of a
+    lightest element.  Ties go to the lexicographically smallest sorted list
+    of op indices, switch i having index i and addition i index n + i, in
+    original qubit positions.
+
+    With r = 0 the standard form's X part is (I_m | A1), so a sum of j
+    generators has X-weight >= j; sizes j = 1, 2, ... are searched until j
+    exceeds the best weight found.  Returns the input unchanged when it
+    already has r >= 1.
     """
-    if to_standard_form(code).r >= 1:
+    sf = to_standard_form(code)
+    if sf.r >= 1:
         return EnsureRResult(code, [])
-    n = code.n
-    single_ops = [ElementaryOp(COLUMN_SWITCH, (i,)) for i in range(n)] + [
-        ElementaryOp(COLUMN_ADDITION, (i,)) for i in range(n)
+    n, m = code.n, code.m
+    # the standardized generators as X and Z bitmasks over original qubits
+    qubit_bits = [1 << int(q) for q in sf.qubit_permutation]
+    std = sf.reassemble()
+    xs = [sum(q for q, bit in zip(qubit_bits, row[:n]) if bit) for row in std]
+    zs = [sum(q for q, bit in zip(qubit_bits, row[n:]) if bit) for row in std]
+    best = None
+    minimal = True
+    for j in range(1, m + 1):
+        if best is not None:
+            if j > len(best):
+                break
+            if comb(m, j) > MAX_ENSURE_R_SUBSETS:
+                minimal = False
+                break
+        for subset in combinations(range(m), j):
+            x = z = 0
+            for i in subset:
+                x ^= xs[i]
+                z ^= zs[i]
+            if best is not None and x.bit_count() > len(best):
+                continue
+            key = sorted(q + n * (z >> q & 1) for q in range(n) if x >> q & 1)
+            if best is None or (len(key), key) < (len(best), best):
+                best = key
+    ops = [
+        ElementaryOp(COLUMN_SWITCH, (i,)) if i < n else ElementaryOp(COLUMN_ADDITION, (i - n,))
+        for i in best
     ]
-    for depth in range(1, max_depth + 1):
-        for seq in product(single_ops, repeat=depth):
-            candidate = apply_ops(code, seq)
-            if to_standard_form(candidate).r >= 1:
-                return EnsureRResult(candidate, list(seq))
-    raise SearchExhaustedError(
-        f"no column-operation sequence of depth <= {max_depth} achieves r >= 1"
-    )
+    return EnsureRResult(apply_ops(code, ops), ops, minimal)
 
 
 def logical_phase_ops(sf: StandardForm) -> np.ndarray:

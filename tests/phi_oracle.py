@@ -1,17 +1,121 @@
-"""Dense statevector check of the phi isomorphism: the reference that the
-symbolic ``statevec.verify_phi`` is tested against.  It costs
-O(4^(n-r) 2^n), so it is meant for n <= 8."""
+"""Dense statevector tools and the dense check of the phi isomorphism: the
+reference that the symbolic ``statevec.verify_phi`` is tested against.  The
+check costs O(4^(n-r) 2^n), so it is meant for n <= 8.
+
+Basis convention: qubit 1 is the most significant index bit, so the
+amplitude of |b_1 ... b_n> sits at index sum_j b_j 2^(n-j).  The operator of
+(a|b) is i^(a.b) X^a Z^b with X factors applied after Z factors per qubit.
+Under it, (1|1) acts as the standard sigma_y and every operator squares to
++I.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from stab2lin import gf2
 from stab2lin.extraction import extract_classical
-from stab2lin.pauli import PauliVector
-from stab2lin.stabilizer import StandardForm, logical_bit_ops
-from stab2lin.statevec import PhiReport, StateVector, _parity_signs, apply_pauli, build_C0
+from stab2lin.pauli import PauliVector, bitmask, from_bits
+from stab2lin.stabilizer import StandardForm, logical_bit_ops, logical_phase_ops
+from stab2lin.statevec import COLLAPSED, PhiReport
 
+DEFAULT_STATE_CAP = 12
 TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """2^n complex amplitudes."""
+
+    n: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.shape != (1 << self.n,):
+            raise ValueError(f"expected {1 << self.n} amplitudes, got {amps.shape}")
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+
+def zero_state(n: int) -> StateVector:
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(n, amps)
+
+
+def _parity_signs(masked: np.ndarray) -> np.ndarray:
+    return 1.0 - 2.0 * (np.bitwise_count(masked.astype(np.uint64)) & 1)
+
+
+_I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+
+
+def apply_pauli(state: StateVector, p: PauliVector) -> StateVector:
+    """Apply i^(a.b) X^a Z^b to the state."""
+    if p.n != state.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, operator n={p.n}")
+    n = state.n
+    amask = bitmask(p.a[::-1])  # qubit 1 is the most significant bit
+    bmask = bitmask(p.b[::-1])
+    idx = np.arange(1 << n)
+    src = idx ^ amask
+    signs = _parity_signs(src & bmask)
+    phase = _I_POWERS[int(np.bitwise_and(p.a, p.b).sum() & 3)]
+    return StateVector(n, phase * signs * state.amplitudes[src])
+
+
+def eigenvalue_sign(state: StateVector, p: PauliVector, tol: float = TOL):
+    """+1 or -1 when the state is an eigenvector within tol, else None."""
+    moved = apply_pauli(state, p).amplitudes
+    for sign in (1.0, -1.0):
+        if np.max(np.abs(moved - sign * state.amplitudes)) < tol:
+            return int(sign)
+    return None
+
+
+def build_C0(sf: StandardForm, cap: int = DEFAULT_STATE_CAP) -> StateVector:
+    """The joint +1 eigenstate of G_1..G_m, L_1..L_k, built as the normalized
+    product (I+G_1)...(I+G_s)(I+L_1)...(I+L_k) |0...0>."""
+    n = sf.n
+    if n > cap:
+        raise ValueError(f"n = {n} exceeds the statevector cap {cap}")
+    amps = zero_state(n).amplitudes
+    for row in np.vstack([sf.reassemble()[: sf.s], logical_phase_ops(sf)]):
+        amps = amps + apply_pauli(StateVector(n, amps), from_bits(row)).amplitudes
+    amps = amps / np.sqrt(2.0 ** (sf.s + sf.k))
+    state = StateVector(n, amps)
+    if state.norm < 0.5:
+        raise RuntimeError(COLLAPSED)
+    return state
+
+
+def build_Cx(sf: StandardForm, x: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> StateVector:
+    """Codeword basis state for message x: N_1^{x_1} ... N_k^{x_k} |C_0>."""
+    x = np.asarray(x, dtype=np.uint8)
+    if x.shape != (sf.k,):
+        raise ValueError(f"message length {x.shape} != k = {sf.k}")
+    nx = gf2.mat_mul(x[None, :], logical_bit_ops(sf))[0]  # the N_j are Z-type
+    return apply_pauli(build_C0(sf, cap=cap), from_bits(nx))
+
+
+def phi(sf: StandardForm, y: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> StateVector:
+    """phi(y) = sigma_z^{y_1} x ... x sigma_z^{y_{n-r}} x I^r |C_0>."""
+    y = np.asarray(y, dtype=np.uint8)
+    nr = sf.n - sf.r
+    if y.shape != (nr,):
+        raise ValueError(f"expected {nr} bits, got {y.shape}")
+    op = PauliVector(
+        np.zeros(sf.n, dtype=np.uint8),
+        np.concatenate([y, np.zeros(sf.r, dtype=np.uint8)]),
+    )
+    return apply_pauli(build_C0(sf, cap=cap), op)
+
 
 
 def dense_verify_phi(sf: StandardForm, tol: float = TOL) -> PhiReport:

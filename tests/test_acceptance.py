@@ -22,9 +22,7 @@ from stab2lin.stabilizer import (
     to_standard_form,
     validate,
 )
-from stab2lin.statevec import StateVector, apply_pauli
-
-from phi_oracle import dense_verify_phi
+from phi_oracle import StateVector, apply_pauli, dense_verify_phi
 from util import data_path, random_elementary_op, random_stabilizer_code
 
 PUBLISHED_SEVEN_THREE = np.array(
@@ -206,7 +204,7 @@ def test_criterion_8_property_suites():
         # decode-within-t exhaustiveness on the corpus codes (96)
         for fname in ("five_two.gmat", "seven_three.gmat", "rep3.gmat"):
             g = load_generator(data_path(fname))
-            t = lincode.max_correctable(g)
+            t = (lincode.min_distance(g).distance - 1) // 2
             for mi in range(1 << g.k):
                 x = np.array([(mi >> (g.k - 1 - i)) & 1 for i in range(g.k)], np.uint8)
                 cw = lincode.encode(g, x)

@@ -47,6 +47,18 @@ def test_validate_empty_file_parse_error(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("validate", "bad.stab"), ("distance", "bad.gmat", "--classical")]
+)
+def test_non_utf8_file_parse_error(tmp_path, argv):
+    f = tmp_path / argv[1]
+    f.write_bytes(b"# comment\n\xff\n")
+    res = run(argv[0], f, *argv[2:])
+    assert res.exit_code == 2
+    assert "line 2: not UTF-8" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_standardize_worked_example():
     res = run("standardize", data_path("eight_three.stab"))
     assert res.exit_code == 0
@@ -73,10 +85,34 @@ def test_standardize_single_x_ensure_r():
     assert payload["ensure_r_ops"] == [["column-switch", [0]]]
 
 
-def test_standardize_ensure_r_exhaustion_distinct_error():
-    res = run("standardize", data_path("xx_two.stab"), "--ensure-r", "--depth", "1")
-    assert res.exit_code == 1
-    assert "ensure-r search exhausted" in res.output
+def test_standardize_ensure_r_xxx_three_switches(tmp_path):
+    f = tmp_path / "xxx.stab"
+    f.write_text("XXX\n")
+    res = run("standardize", f, "--ensure-r", "--json")
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert payload["ensure_r_ops"] == [["column-switch", [q]] for q in range(3)]
+    assert payload["ensure_r_minimal"] is True
+    assert payload["r"] == 1
+
+
+def test_standardize_ensure_r_not_minimal_comment(tmp_path, monkeypatch):
+    monkeypatch.setattr(stabilizer, "MAX_ENSURE_R_SUBSETS", 0)
+    f = tmp_path / "x2.stab"
+    f.write_text("XIXXX\nIXXXX\n")
+    res = run("standardize", f, "--ensure-r")
+    assert res.exit_code == 0
+    assert "not proven minimal" in res.output
+    assert json.loads(run("standardize", f, "--ensure-r", "--json").stdout)[
+        "ensure_r_minimal"
+    ] is False
+
+
+@pytest.mark.parametrize("command", ["standardize", "extract"])
+def test_depth_option_is_a_usage_error(command):
+    res = run(command, data_path("xx_two.stab"), "--ensure-r", "--depth", "3")
+    assert res.exit_code == 2
+    assert "No such option" in res.output
 
 
 def test_standardize_writes_output_file(tmp_path):
@@ -342,19 +378,19 @@ def test_pipeline_reproduces_shipped_summary_table(tmp_path):
 
 
 # Exit-code fuzz: argv drawn from a small grammar over every command, flag
-# and value (bad numbers included) and random file text.
+# and value (bad numbers included) and random file contents, raw bytes too.
 NUMBERS = ("0", "1", "2", "-3", "0.05", "0.5", "0.7", "nan", "inf", "-inf", "1e-9", "abc", "")
 COMMAND_FLAGS = {
     "validate": ("--json",),
-    "standardize": ("--json", "--ensure-r", "--depth", "-o"),
-    "extract": ("--json", "--ensure-r", "--depth", "-o"),
+    "standardize": ("--json", "--ensure-r", "-o"),
+    "extract": ("--json", "--ensure-r", "-o"),
     "distance": ("--json", "--quantum", "--classical", "--cap"),
     "simulate": ("--json", "--delta", "--trials", "--seed", "--exact"),
     "verify-phi": ("--json",),
     "bounds": ("--json", "--channel", "--from", "--to", "--step", "-o"),
     "no-such-command": ("--json",),
 }
-VALUED = {"--depth", "--cap", "--delta", "--trials", "--seed", "--from", "--to", "--step"}
+VALUED = {"--cap", "--delta", "--trials", "--seed", "--from", "--to", "--step"}
 FILE_TEXT = st.one_of(
     st.text(alphabet="IXYZ01|+# \n", max_size=40),
     *(
@@ -364,6 +400,7 @@ FILE_TEXT = st.one_of(
         for alphabet in ("IXYZ", "01")
     ),
 )
+FILE_BYTES = st.one_of(FILE_TEXT.map(str.encode), st.binary(max_size=40))
 
 
 @pytest.fixture(scope="module")
@@ -385,7 +422,7 @@ def fuzz_argv(draw, fuzz_dir):
             path = fuzz_dir / f"input.{choice}"
             path.unlink(missing_ok=True)
             if choice != "missing":
-                path.write_text(draw(FILE_TEXT), encoding="utf-8")
+                path.write_bytes(draw(FILE_BYTES))
         argv.append(str(path))
     for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=4, unique=True)):
         argv.append(flag)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stab2lin import gf2, lincode
-from stab2lin.extraction import extract_classical, parity_check
+from stab2lin.extraction import extract_classical
 from stab2lin.formats import load_stabilizer
 from stab2lin.stabilizer import StabilizerCode, StandardForm, to_standard_form, quantum_distance
 
@@ -86,7 +86,8 @@ def test_parity_check_consistency():
         if sf.k == 0:
             continue
         res = extract_classical(sf)
-        assert not gf2.mat_mul(res.generator, parity_check(sf).T).any()
+        parity_check = np.hstack([np.eye(sf.s, dtype=np.uint8), sf.a1])  # (I_s | A1)
+        assert not gf2.mat_mul(res.generator, parity_check.T).any()
         assert gf2.rank(res.generator) == sf.k
 
 

@@ -19,7 +19,7 @@ from stab2lin.lincode import (
     encode,
 )
 
-from util import data_path, random_stabilizer_code
+from util import data_path, in_rowspan, random_stabilizer_code
 
 MASK64 = (1 << 64) - 1
 
@@ -81,7 +81,7 @@ def pauli_enumeration_min_weight(code, cap):
             continue
         if any(pauli.symplectic_product(p, pauli.from_bits(r)) for r in code.matrix):
             continue
-        if not gf2.in_rowspan(red, v):
+        if not in_rowspan(red, v):
             best = w
     return best
 

@@ -15,7 +15,8 @@ from stab2lin.pauli import (
     symplectic_product,
     symplectic_product_rows,
 )
-from stab2lin.statevec import StateVector, apply_pauli, zero_state
+
+from phi_oracle import StateVector, apply_pauli, zero_state
 
 
 def test_parse_worked_example():

@@ -9,8 +9,8 @@ from stab2lin import bounds, gf2
 from stab2lin.lincode import GeneratorMatrix, encode
 from stab2lin.pauli import PauliVector, from_bits, symplectic_product
 from stab2lin.stabilizer import apply_ops, quantum_distance, to_standard_form, validate
-from stab2lin.statevec import StateVector, apply_pauli
 
+from phi_oracle import StateVector, apply_pauli
 from util import random_elementary_op, random_stabilizer_code
 
 bit_lists = st.lists(st.integers(0, 1), min_size=1, max_size=16)

@@ -3,15 +3,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stab2lin import _kernels, gf2, stabilizer
 from stab2lin.formats import load_stabilizer
-from stab2lin.pauli import pauli_weight_rows
 from stab2lin.stabilizer import (
     COLUMN_ADDITION,
     COLUMN_SWITCH,
     ElementaryOp,
-    SearchExhaustedError,
     StabilizerCode,
     StandardFormError,
     apply_op,
@@ -25,7 +25,15 @@ from stab2lin.stabilizer import (
     verify_logical_algebra,
 )
 
-from util import data_path, random_elementary_op, random_stabilizer_code, rotated_surface_code
+from util import (
+    bfs_ensure_r,
+    data_path,
+    in_rowspan,
+    pauli_weight_rows,
+    random_elementary_op,
+    random_stabilizer_code,
+    rotated_surface_code,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +139,60 @@ def test_ensure_positive_r_single_x():
     assert (sf.s, sf.r) == (0, 1)
 
 
-def test_ensure_positive_r_xx_needs_depth_two():
-    code = StabilizerCode.from_paulis(["XX"])
-    with pytest.raises(SearchExhaustedError):
-        ensure_positive_r(code, max_depth=1)
-    res = ensure_positive_r(code, max_depth=2)
-    assert len(res.ops) == 2
+def test_ensure_positive_r_xx_two_switches():
+    res = ensure_positive_r(StabilizerCode.from_paulis(["XX"]))
+    assert res.ops == [ElementaryOp(COLUMN_SWITCH, (0,)), ElementaryOp(COLUMN_SWITCH, (1,))]
+    assert res.minimal
     assert to_standard_form(res.code).r >= 1
+
+
+def test_ensure_positive_r_long_sequence_is_fast():
+    code = StabilizerCode.from_paulis(["X" * 8])
+    t0 = time.perf_counter()
+    res = ensure_positive_r(code)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.ops == [ElementaryOp(COLUMN_SWITCH, (q,)) for q in range(8)]
+    assert res.code.pauli_strings() == ["Z" * 8]
+
+
+@st.composite
+def r_zero_codes(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        code = random_stabilizer_code(rng, n, m)
+        if to_standard_form(code).r == 0:
+            return code
+
+
+@given(r_zero_codes(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_ensure_positive_r_matches_bfs(code, depth):
+    res = ensure_positive_r(code)
+    reference = bfs_ensure_r(code, depth)
+    if reference is None:
+        assert len(res.ops) > depth
+    else:
+        assert res.ops == reference
+    assert res.minimal
+    moved = apply_ops(code, res.ops)
+    assert np.array_equal(moved.matrix, res.code.matrix)
+    assert to_standard_form(moved).r >= 1
+    assert quantum_distance(moved).value == quantum_distance(code).value
+
+
+def test_ensure_positive_r_subset_cap(monkeypatch):
+    # level 1 offers four switches; the pair sum XXIII needs two
+    code = StabilizerCode.from_paulis(["XIXXX", "IXXXX"])
+    res = ensure_positive_r(code)
+    assert res.minimal
+    assert res.ops == [ElementaryOp(COLUMN_SWITCH, (q,)) for q in (0, 1)]
+    monkeypatch.setattr(stabilizer, "MAX_ENSURE_R_SUBSETS", 0)
+    capped = ensure_positive_r(code)
+    assert capped.minimal is False
+    assert len(capped.ops) == 4
+    assert to_standard_form(capped.code).r >= 1
 
 
 def test_ensure_positive_r_y_uses_column_addition():
@@ -323,7 +378,7 @@ def test_quantum_distance_brute_oracle():
                 for row in code.matrix
             ):
                 continue
-            if gf2.in_rowspan(red, bits):
+            if in_rowspan(red, bits):
                 continue
             w = int(np.count_nonzero(a | b))
             best = w if best is None else min(best, w)

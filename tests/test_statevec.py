@@ -16,19 +16,19 @@ from stab2lin.stabilizer import (
     logical_phase_ops,
     to_standard_form,
 )
-from stab2lin.statevec import (
+from stab2lin.statevec import verify_phi
+
+import phi_oracle
+from phi_oracle import (
     StateVector,
     apply_pauli,
     build_C0,
     build_Cx,
+    dense_verify_phi,
     eigenvalue_sign,
     phi,
-    verify_phi,
     zero_state,
 )
-
-import phi_oracle
-from phi_oracle import dense_verify_phi
 from util import data_path, random_stabilizer_code, rotated_surface_code
 
 

@@ -1,7 +1,9 @@
-"""Shared test helpers: data paths and random-instance generators."""
+"""Shared test helpers: data paths, random-instance generators and brute-force
+references."""
 
 from __future__ import annotations
 
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ from stab2lin.stabilizer import (
     ROW_ADDITION,
     ElementaryOp,
     StabilizerCode,
+    apply_ops,
+    to_standard_form,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "stab2lin" / "data"
@@ -105,3 +109,37 @@ def random_elementary_op(rng: np.random.Generator, n: int, m: int) -> Elementary
             j += 1
         return ElementaryOp(kind, (i, j))
     return ElementaryOp(kind, (int(rng.integers(n)),))
+
+
+def in_rowspan(m_rref: gf2.RrefResult, v: np.ndarray) -> bool:
+    """Membership of ``v`` in the row span, given a precomputed RREF."""
+    v = gf2.as_bits(v)
+    for i, p in enumerate(m_rref.pivots):
+        if v[p]:
+            v ^= m_rref.matrix[i]
+    return not v.any()
+
+
+def pauli_weight_rows(rows: np.ndarray) -> np.ndarray:
+    """Pauli weight of each 2n-bit row."""
+    rows = gf2.as_bits(rows, copy=False)
+    n = rows.shape[1] // 2
+    return np.count_nonzero(rows[:, :n] | rows[:, n:], axis=1)
+
+
+def bfs_ensure_r(code: StabilizerCode, max_depth: int):
+    """Reference for ``ensure_positive_r``: the first sequence of at most
+    ``max_depth`` column ops, in ``itertools.product`` order over switches
+    then additions, after which the standard form has r >= 1, re-running the
+    reduction per candidate.  None when there is no such sequence."""
+    if to_standard_form(code).r >= 1:
+        return []
+    n = code.n
+    single_ops = [ElementaryOp(COLUMN_SWITCH, (i,)) for i in range(n)] + [
+        ElementaryOp(COLUMN_ADDITION, (i,)) for i in range(n)
+    ]
+    for depth in range(1, max_depth + 1):
+        for seq in product(single_ops, repeat=depth):
+            if to_standard_form(apply_ops(code, seq)).r >= 1:
+                return list(seq)
+    return None
