@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2, sqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 LOG2_3 = log2(3.0)
 MAX_GRID_POINTS = 10**6
@@ -143,14 +143,21 @@ def grid(delta_from: float, delta_to: float, step: float) -> list[float]:
     return points
 
 
+def points(
+    channel: str, delta_from: float, delta_to: float, step: float
+) -> Iterator[tuple[float, BoundCurve]]:
+    """Every grid point paired with each curve of the channel that applies
+    there, in grid order, then curve order."""
+    for d in grid(delta_from, delta_to, step):
+        for curve in curves_for(channel):
+            if curve.applies(d):
+                yield d, curve
+
+
 def emit_curves(channel: str, delta_from: float, delta_to: float, step: float) -> str:
     """CSV rows (delta, curve, raw, clamped) for every applicable curve at
     every grid point; 12 significant digits, LF line endings, deterministic."""
     lines = ["delta,curve,raw,clamped"]
-    for d in grid(delta_from, delta_to, step):
-        for curve in curves_for(channel):
-            if not curve.applies(d):
-                continue
-            raw = curve.raw(d)
-            lines.append(f"{d:.12g},{curve.name},{raw:.12g},{curve.clamped(d):.12g}")
+    for d, curve in points(channel, delta_from, delta_to, step):
+        lines.append(f"{d:.12g},{curve.name},{curve.raw(d):.12g},{curve.clamped(d):.12g}")
     return "\n".join(lines) + "\n"

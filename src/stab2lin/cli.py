@@ -119,6 +119,14 @@ def _standardized(file, ensure_r):
     return to_standard_form(result.code if result else code), result
 
 
+def _ensure_r_json(result) -> dict:
+    """The ensure-r keys of a --json report; [] and null without --ensure-r."""
+    return {
+        "ensure_r_ops": [[op.kind, list(op.indices)] for op in result.ops] if result else [],
+        "ensure_r_minimal": result.minimal if result else None,
+    }
+
+
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ensure-r", is_flag=True, help="apply the fewest column ops that give r >= 1")
@@ -138,8 +146,7 @@ def standardize(file, ensure_r, out, as_json):
                 "r": sf.r,
                 "qubit_permutation": perm,
                 "generators": std_code.pauli_strings(),
-                "ensure_r_ops": [[op.kind, list(op.indices)] for op in ops],
-                "ensure_r_minimal": result.minimal if result else None,
+                **_ensure_r_json(result),
                 "trace_length": len(sf.op_trace),
             }
         )
@@ -165,7 +172,7 @@ def standardize(file, ensure_r, out, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def extract(file, ensure_r, out, as_json):
     """Extract the classical binary linear code of a stabilizer file."""
-    sf, _ = _standardized(file, ensure_r)
+    sf, ensured = _standardized(file, ensure_r)
     if sf.k == 0:
         _fail("no encoded qubits, no classical code (k = 0)", 1)
     result = extract_classical(sf, provenance=str(file))
@@ -189,9 +196,12 @@ def extract(file, ensure_r, out, as_json):
                 "theorem_parameters": list(result.theorem_parameters),
                 "rows": ["".join(str(int(b)) for b in row) for row in result.generator],
                 "r_zero_warning": result.r_zero_warning,
+                **_ensure_r_json(ensured),
             }
         )
         return
+    if ensured and not ensured.minimal:
+        click.echo("ensure-r ops not proven minimal (subset search capped)", err=True)
     gm = lincode.GeneratorMatrix(result.generator)
     _write_out(write_generator_text(gm, [f"extracted from {file}", summary]), out)
     if out is not None:
@@ -347,9 +357,7 @@ def bounds_cmd(channel, delta_from, delta_to, step, out, as_json):
                     "raw": c.raw(d),
                     "clamped": c.clamped(d),
                 }
-                for d in bounds_mod.grid(delta_from, delta_to, step)
-                for c in bounds_mod.curves_for(channel)
-                if c.applies(d)
+                for d, c in bounds_mod.points(channel, delta_from, delta_to, step)
             ]
             _emit_json({"channel": channel, "rows": rows})
             return

@@ -1,13 +1,16 @@
-"""Linear algebra over GF(2) on numpy uint8 arrays.
+"""Linear algebra over GF(2).
 
-All functions treat their array arguments as immutable values: inputs are
-never mutated, transformations return fresh arrays.  Row-operation traces
-are lists of ``(target, source)`` pairs meaning "row[target] ^= row[source]";
-replaying a trace on the original matrix reproduces the transformed matrix
-bit-exactly.
+Bit vectors and matrices are numpy uint8 arrays of 0/1 entries; functions
+return fresh arrays and leave their arguments unchanged.  Where row
+operations dominate, a row is packed into a Python int whose bit c is column
+c (``to_ints``, and back with ``from_ints``).  This is the package's one
+packing convention: every int bitmask elsewhere (the Pauli triples of
+``pauli``, the masks of ``stabilizer.ensure_positive_r``) comes from these
+two functions.  Enumeration-heavy kernels pack rows into uint64 words in the
+same order (``pack_rows``): column c at word c // 64, bit c % 64.
 
-For enumeration-heavy workloads rows can be packed into uint64 words
-(``pack_rows``), with column ``c`` stored at word ``c // 64``, bit ``c % 64``.
+Row-operation traces are lists of ``(target, source)`` pairs meaning
+"row[target] ^= row[source]".
 """
 
 from __future__ import annotations
@@ -52,58 +55,43 @@ class RrefResult:
         return len(self.pivots)
 
 
-def rref(m: np.ndarray) -> RrefResult:
-    """Reduced row-echelon form over GF(2).
+def rref(m: np.ndarray, columns: range | None = None) -> RrefResult:
+    """Reduced row-echelon form over GF(2), with pivots sought only in
+    ``columns`` (default: all columns).  Each row addition acts on the whole
+    row, so columns outside the range change but are not reduced.
 
-    Pivot selection is deterministic: leftmost unused column, then lowest
-    eligible row.  Row swaps are recorded as XOR-swap triples so the trace
-    contains row additions only.
+    Pivot rule: leftmost column, then lowest eligible row.  A row swap is
+    recorded as three row additions, so the trace holds row additions only.
     """
-    mat = as_bits(m)
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    rows, cols = mat.shape
+    mat = as_bits(m, copy=False)
+    rows = to_ints(mat)
     pivots: list[int] = []
     trace: list[RowOp] = []
     rr = 0
-    for c in range(cols):
-        if rr == rows:
+    for c in range(mat.shape[1]) if columns is None else columns:
+        if rr == len(rows):
             break
-        hit = np.flatnonzero(mat[rr:, c])
-        if hit.size == 0:
+        p = next((i for i in range(rr, len(rows)) if rows[i] >> c & 1), None)
+        if p is None:
             continue
-        p = rr + int(hit[0])
         if p != rr:
-            for t, s in ((rr, p), (p, rr), (rr, p)):
-                mat[t] ^= mat[s]
-                trace.append((t, s))
-        for i in np.flatnonzero(mat[:, c]):
-            i = int(i)
-            if i != rr:
-                mat[i] ^= mat[rr]
+            rows[rr], rows[p] = rows[p], rows[rr]
+            trace += [(rr, p), (p, rr), (rr, p)]
+        pivot = rows[rr]
+        for i, row in enumerate(rows):
+            if i != rr and row >> c & 1:
+                rows[i] = row ^ pivot
                 trace.append((i, rr))
         pivots.append(c)
         rr += 1
-    return RrefResult(mat, pivots, trace)
-
-
-def replay_row_ops(m: np.ndarray, trace: list[RowOp]) -> np.ndarray:
-    """Apply a row-op trace to a copy of ``m``."""
-    mat = as_bits(m)
-    for t, s in trace:
-        mat[t] ^= mat[s]
-    return mat
+    return RrefResult(from_ints(rows, mat.shape[1]), pivots, trace)
 
 
 def rank(m: np.ndarray) -> int:
-    """Dimension of the row span over GF(2), from an XOR basis of the rows
-    as Python integers (no row-op trace), one basis row per leading bit."""
-    mat = as_bits(m, copy=False)
-    if mat.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
+    """Dimension of the row span over GF(2), from an XOR basis of the packed
+    rows (no row-op trace), one basis row per leading bit."""
     basis: dict[int, int] = {}
-    for row in np.packbits(mat, axis=1, bitorder="little"):
-        v = int.from_bytes(row.tobytes(), "little")
+    for v in to_ints(m):
         while v and v.bit_length() in basis:
             v ^= basis[v.bit_length()]
         if v:
@@ -118,10 +106,6 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
     return (a.astype(np.uint32) @ b.astype(np.uint32) & 1).astype(np.uint8)
-
-
-def transpose(m: np.ndarray) -> np.ndarray:
-    return as_bits(m, copy=False).T.copy()
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:
@@ -140,6 +124,23 @@ def nullspace(m: np.ndarray) -> np.ndarray:
         for i, p in enumerate(r.pivots):
             basis[row, p] = r.matrix[i, f]
     return basis
+
+
+def to_ints(m: np.ndarray) -> list[int]:
+    """The rows of a bit matrix as ints, bit c of each being column c."""
+    mat = as_bits(m, copy=False)
+    if mat.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def from_ints(values: list[int], cols: int) -> np.ndarray:
+    """Inverse of ``to_ints``: a len(values) x cols bit matrix."""
+    width = -(-cols // 8)
+    buf = b"".join(v.to_bytes(width, "little") for v in values)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(values), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 def pack_rows(m: np.ndarray) -> np.ndarray:

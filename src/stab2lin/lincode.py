@@ -182,8 +182,7 @@ def coset_leaders(g: GeneratorMatrix) -> CosetLeaders:
     # Leader weights never exceed n - k; w * count[s] must fit in an int64.
     if max((w * comb(n, w) for w in range(1, nk + 1)), default=0) >= 1 << 63:
         raise ValueError(f"n = {n} is too long for 64-bit leader counts at n - k = {nk}")
-    h = gf2.nullspace(g.rows).astype(np.int64)
-    cols = (h << np.arange(nk, dtype=np.int64)[:, None]).sum(axis=0)
+    cols = np.array(gf2.to_ints(gf2.nullspace(g.rows).T), dtype=np.int64)
     if 1 << g.k <= 4 * n:
         min_weight, count = _leaders_by_codewords(codeword_table(g), cols, n, nk)
     else:

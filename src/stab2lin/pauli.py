@@ -4,9 +4,10 @@ An n-qubit tensor product of I, X, Y, Z is encoded by two length-n bit
 vectors: ``a[i] = 1`` when position i carries X or Y, ``b[i] = 1`` when it
 carries Z or Y.  Phases are dropped there: a row stands for i^(a.b) X^a Z^b,
 which is Hermitian and squares to +I.  Where signs matter, a Pauli is a
-phase-tracked triple ``(x, z, p)`` of int bitmasks (bit j is qubit j) and a
-power of i, the operator i^p X^x Z^z; ``StabilizerTableau`` tracks a
-stabilizer state in that form (Aaronson & Gottesman, quant-ph/0406196).
+phase-tracked triple ``(x, z, p)`` of int bitmasks (``gf2.to_ints``: bit j is
+qubit j) and a power of i, the operator i^p X^x Z^z; ``StabilizerTableau``
+tracks a stabilizer state in that form (Aaronson & Gottesman,
+quant-ph/0406196).
 """
 
 from __future__ import annotations
@@ -108,16 +109,9 @@ def symplectic_product_rows(rows: np.ndarray) -> np.ndarray:
 SignedPauli = tuple[int, int, int]
 
 
-def bitmask(bits: np.ndarray) -> int:
-    """The int whose bit j is entry j of a bit vector."""
-    packed = np.packbits(gf2.as_bits(bits, copy=False), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def signed_row(row: np.ndarray) -> SignedPauli:
     """The triple of the operator i^(a.b) X^a Z^b of a 2n-bit (a|b) row."""
-    n = len(row) // 2
-    x, z = bitmask(row[:n]), bitmask(row[n:])
+    x, z = gf2.to_ints(np.reshape(row, (2, -1)))
     return x, z, (x & z).bit_count() & 3
 
 

@@ -192,34 +192,6 @@ class StandardForm:
         return StabilizerCode(self.reassemble(), self.n)
 
 
-def _eliminate(work, trace, rows, col_lo, col_hi, row_lo):
-    """In-place RREF of work[row_lo:rows, col_lo:col_hi] using full-row XORs.
-
-    Pivot rule: leftmost column, then lowest eligible row.  Returns pivot
-    column indices (absolute).  Only rows row_lo..rows-1 are touched.
-    """
-    pivots = []
-    rr = row_lo
-    for c in range(col_lo, col_hi):
-        if rr == rows:
-            break
-        hit = np.flatnonzero(work[rr:rows, c])
-        if hit.size == 0:
-            continue
-        p = rr + int(hit[0])
-        if p != rr:
-            for t, s in ((rr, p), (p, rr), (rr, p)):
-                work[t] ^= work[s]
-                trace.append(ElementaryOp(ROW_ADDITION, (t, s)))
-        for i in range(row_lo, rows):
-            if i != rr and work[i, c]:
-                work[i] ^= work[rr]
-                trace.append(ElementaryOp(ROW_ADDITION, (i, rr)))
-        pivots.append(c)
-        rr += 1
-    return pivots
-
-
 def _transpose_columns(work, trace, perm, i, j, n):
     work[:, [i, j]] = work[:, [j, i]]
     work[:, [n + i, n + j]] = work[:, [n + j, n + i]]
@@ -234,20 +206,23 @@ def to_standard_form(code: StabilizerCode) -> StandardForm:
         raise ValueError(f"input is not a valid stabilizer code: {report}")
     n, m = code.n, code.m
     k = n - m
-    work = code.matrix.copy()
-    trace: list[ElementaryOp] = []
     perm = np.arange(n)
 
     # Stage 1: eliminate the X submatrix, then move pivot columns to the front.
-    x_pivots = _eliminate(work, trace, m, 0, n, 0)
-    s = len(x_pivots)
-    for i, p in enumerate(x_pivots):
+    stage1 = gf2.rref(code.matrix, range(n))
+    work = stage1.matrix
+    trace = [ElementaryOp(ROW_ADDITION, op) for op in stage1.trace]
+    s = stage1.rank
+    for i, p in enumerate(stage1.pivots):
         if p != i:
             _transpose_columns(work, trace, perm, i, p, n)
 
     # Stage 2: eliminate E4 = Z[s:, s:] among the last r generators only.
     r = m - s
-    z_pivots = _eliminate(work, trace, m, n + s, 2 * n, s)
+    stage2 = gf2.rref(work[s:], range(n + s, 2 * n))
+    work[s:] = stage2.matrix
+    trace += [ElementaryOp(ROW_ADDITION, (t + s, u + s)) for t, u in stage2.trace]
+    z_pivots = stage2.pivots
     r1 = len(z_pivots)
     if r1 < r:
         raise StandardFormError(
@@ -333,10 +308,10 @@ def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
         return EnsureRResult(code, [])
     n, m = code.n, code.m
     # the standardized generators as X and Z bitmasks over original qubits
-    qubit_bits = [1 << int(q) for q in sf.qubit_permutation]
     std = sf.reassemble()
-    xs = [sum(q for q, bit in zip(qubit_bits, row[:n]) if bit) for row in std]
-    zs = [sum(q for q, bit in zip(qubit_bits, row[n:]) if bit) for row in std]
+    at = np.argsort(sf.qubit_permutation)  # standardized position of each qubit
+    xs = gf2.to_ints(std[:, :n][:, at])
+    zs = gf2.to_ints(std[:, n:][:, at])
     best = None
     minimal = True
     for j in range(1, m + 1):

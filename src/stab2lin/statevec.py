@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import gf2
 from .extraction import extract_classical
-from .pauli import StabilizerTableau, bitmask, signed_row
+from .pauli import StabilizerTableau, signed_row
 from .stabilizer import StandardForm, logical_bit_ops, logical_phase_ops
 
 COLLAPSED = (
@@ -67,8 +65,7 @@ def z_images_orthogonal(state: StabilizerTableau, n: int, r: int) -> bool:
     """Whether the states Z^(u,0^r)|state> are pairwise orthogonal, that is,
     whether no nonzero (0 | u, 0^r) lies in the span of the stabilizers."""
     visible = [x | (z >> (n - r)) << n for x, z, _ in state.stabilizers]
-    bits = [[(v >> j) & 1 for j in range(n + r)] for v in visible]
-    return gf2.rank(np.array(bits, np.uint8)) == n
+    return gf2.rank(gf2.from_ints(visible, n + r)) == n
 
 
 def verify_phi(sf: StandardForm) -> PhiReport:
@@ -100,10 +97,10 @@ def verify_phi(sf: StandardForm) -> PhiReport:
         for i, g in enumerate(gens):
             if state.expectation(g) != 1:
                 codeword_failures.append(f"C_0 is not a +1 eigenstate of G_{i + 1}")
-        gen = extract_classical(sf).generator
-        bit_ops = logical_bit_ops(sf)
+        words = gf2.to_ints(extract_classical(sf).generator)
+        flips = gf2.to_ints(logical_bit_ops(sf)[:, n:])
         for j in range(k):
-            diff = bitmask(gen[j]) ^ bitmask(bit_ops[j, n:])
+            diff = words[j] ^ flips[j]
             if diff and state.expectation((0, diff, 0)) != 1:
                 codeword_failures.append(f"codeword x=e_{j + 1}: phi(x.M) != N^x C_0")
     counterexamples += codeword_failures

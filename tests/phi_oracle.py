@@ -17,7 +17,7 @@ import numpy as np
 
 from stab2lin import gf2
 from stab2lin.extraction import extract_classical
-from stab2lin.pauli import PauliVector, bitmask, from_bits
+from stab2lin.pauli import PauliVector, from_bits
 from stab2lin.stabilizer import StandardForm, logical_bit_ops, logical_phase_ops
 from stab2lin.statevec import COLLAPSED, PhiReport
 
@@ -61,8 +61,7 @@ def apply_pauli(state: StateVector, p: PauliVector) -> StateVector:
     if p.n != state.n:
         raise ValueError(f"dimension mismatch: state n={state.n}, operator n={p.n}")
     n = state.n
-    amask = bitmask(p.a[::-1])  # qubit 1 is the most significant bit
-    bmask = bitmask(p.b[::-1])
+    amask, bmask = gf2.to_ints(np.stack([p.a[::-1], p.b[::-1]]))  # qubit 1 is the top bit
     idx = np.arange(1 << n)
     src = idx ^ amask
     signs = _parity_signs(src & bmask)

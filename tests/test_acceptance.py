@@ -23,7 +23,7 @@ from stab2lin.stabilizer import (
     validate,
 )
 from phi_oracle import StateVector, apply_pauli, dense_verify_phi
-from util import data_path, random_elementary_op, random_stabilizer_code
+from util import data_path, random_elementary_op, random_stabilizer_code, replay_row_ops
 
 PUBLISHED_SEVEN_THREE = np.array(
     [
@@ -188,7 +188,7 @@ def test_criterion_8_property_suites():
             mat = rng.integers(0, 2, size=(int(rng.integers(1, 7)), int(rng.integers(1, 9)))).astype(np.uint8)
             res = gf2.rref(mat)
             assert np.array_equal(gf2.rref(res.matrix).matrix, res.matrix)
-            assert np.array_equal(gf2.replay_row_ops(mat, res.trace), res.matrix)
+            assert np.array_equal(replay_row_ops(mat, res.trace), res.matrix)
             instances += 1
 
         # encode linearity (200)

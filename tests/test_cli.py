@@ -70,6 +70,10 @@ def test_standardize_json():
     payload = json.loads(res.stdout)
     assert (payload["s"], payload["k"], payload["r"]) == (4, 3, 1)
     assert sorted(payload["qubit_permutation"]) == list(range(1, 9))
+    # row additions of both eliminations plus the column transpositions
+    assert payload["trace_length"] == 16
+    payload = json.loads(run("standardize", data_path("five_one.stab"), "--json").stdout)
+    assert (payload["s"], payload["k"], payload["r"], payload["trace_length"]) == (4, 1, 0, 4)
 
 
 def test_standardize_single_z():
@@ -106,6 +110,29 @@ def test_standardize_ensure_r_not_minimal_comment(tmp_path, monkeypatch):
     assert json.loads(run("standardize", f, "--ensure-r", "--json").stdout)[
         "ensure_r_minimal"
     ] is False
+
+
+def test_extract_ensure_r_json_reports_ops():
+    res = run("extract", data_path("xx_two.stab"), "--ensure-r", "--json")
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert payload["ensure_r_ops"] == [["column-switch", [0]], ["column-switch", [1]]]
+    assert payload["ensure_r_minimal"] is True
+    assert payload["r"] == 1 and payload["parameters"] == [1, 1]
+    plain = json.loads(run("extract", data_path("xx_two.stab"), "--json").stdout)
+    assert plain["ensure_r_ops"] == [] and plain["ensure_r_minimal"] is None
+
+
+def test_extract_ensure_r_not_minimal_note_on_stderr(tmp_path, monkeypatch):
+    monkeypatch.setattr(stabilizer, "MAX_ENSURE_R_SUBSETS", 0)
+    f = tmp_path / "x2.stab"
+    f.write_text("XIXXX\nIXXXX\n")
+    res = run("extract", f, "--ensure-r")
+    assert res.exit_code == 0
+    assert "not proven minimal" in res.stderr
+    assert "not proven minimal" not in res.stdout
+    payload = json.loads(run("extract", f, "--ensure-r", "--json").stdout)
+    assert payload["ensure_r_minimal"] is False
 
 
 @pytest.mark.parametrize("command", ["standardize", "extract"])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stab2lin import gf2
 
-from util import in_rowspan
+from util import in_rowspan, reference_rref, replay_row_ops
 
 # X submatrix of the bundled [[8,3]] code's generator matrix
 X8 = np.array(
@@ -93,21 +93,21 @@ def test_rref_idempotent_and_replayable():
         res = gf2.rref(m)
         again = gf2.rref(res.matrix)
         assert np.array_equal(again.matrix, res.matrix)
-        assert np.array_equal(gf2.replay_row_ops(m, res.trace), res.matrix)
+        assert np.array_equal(replay_row_ops(m, res.trace), res.matrix)
 
 
 def test_rank_equals_rank_of_transpose():
     rng = np.random.default_rng(11)
     for _ in range(50):
         m = rng.integers(0, 2, size=(rng.integers(1, 8), rng.integers(1, 8))).astype(np.uint8)
-        assert gf2.rank(m) == gf2.rank(gf2.transpose(m))
+        assert gf2.rank(m) == gf2.rank(m.T)
 
 
-def test_mat_mul_identity_and_double_transpose():
+def test_mat_mul_identity_both_sides():
     rng = np.random.default_rng(3)
     m = rng.integers(0, 2, size=(4, 6)).astype(np.uint8)
     assert np.array_equal(gf2.mat_mul(np.eye(4, dtype=np.uint8), m), m)
-    assert np.array_equal(gf2.transpose(gf2.transpose(m)), m)
+    assert np.array_equal(gf2.mat_mul(m, np.eye(6, dtype=np.uint8)), m)
 
 
 def test_mat_mul_dimension_mismatch():
@@ -120,7 +120,7 @@ def test_generator_times_parity_check_is_zero():
     a1t = np.array([[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1]], dtype=np.uint8)
     g = np.hstack([a1t, np.eye(3, dtype=np.uint8)])
     h = np.hstack([np.eye(4, dtype=np.uint8), a1t.T])
-    prod = gf2.mat_mul(g, gf2.transpose(h))
+    prod = gf2.mat_mul(g, h.T)
     assert not prod.any()
     # independent oracle: plain integer arithmetic mod 2
     manual = (g.astype(int) @ h.T.astype(int)) % 2
@@ -134,7 +134,7 @@ def test_nullspace_orthogonal_and_full():
         ns = gf2.nullspace(m)
         assert ns.shape[0] == m.shape[1] - gf2.rank(m)
         if ns.shape[0]:
-            assert not gf2.mat_mul(m, gf2.transpose(ns)).any()
+            assert not gf2.mat_mul(m, ns.T).any()
             assert gf2.rank(ns) == ns.shape[0]
 
 
@@ -147,9 +147,37 @@ def test_list_and_int64_inputs():
 
 def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(9)
-    for cols in (1, 7, 63, 64, 65, 130):
+    for cols in (0, 1, 7, 63, 64, 65, 130):
         m = rng.integers(0, 2, size=(3, cols)).astype(np.uint8)
-        assert np.array_equal(gf2.unpack_rows(gf2.pack_rows(m), cols), m)
+        if cols:
+            assert np.array_equal(gf2.unpack_rows(gf2.pack_rows(m), cols), m)
+        ints = gf2.to_ints(m)
+        assert ints == [sum(1 << c for c in range(cols) if row[c]) for row in m]
+        assert np.array_equal(gf2.from_ints(ints, cols), m)
+    assert gf2.from_ints([], 5).shape == (0, 5)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_reference(data):
+    # random column windows: the whole matrix, empty, ending at the right edge
+    rows = data.draw(st.integers(0, 10))
+    cols = data.draw(st.integers(0, 70))
+    lo = data.draw(st.integers(0, cols))
+    hi = data.draw(st.one_of(st.just(lo), st.just(cols), st.integers(lo, cols)))
+    columns = data.draw(st.sampled_from([None, range(lo, hi)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = (rng.random((rows, cols)) < data.draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    if rows > 2:
+        m[rng.integers(rows)] = 0
+        m[rng.integers(rows)] = m[rng.integers(rows)]
+    before = m.copy()
+    got = gf2.rref(m, columns)
+    want = reference_rref(m, columns)
+    assert np.array_equal(m, before)
+    assert got.matrix.dtype == np.uint8 and np.array_equal(got.matrix, want.matrix)
+    assert got.pivots == want.pivots
+    assert got.trace == want.trace
 
 
 def test_in_rowspan():

@@ -111,6 +111,44 @@ def random_elementary_op(rng: np.random.Generator, n: int, m: int) -> Elementary
     return ElementaryOp(kind, (int(rng.integers(n)),))
 
 
+def reference_rref(m: np.ndarray, columns: range | None = None) -> gf2.RrefResult:
+    """Reference for ``gf2.rref``: the pivot loop on numpy bit rows.  Pivot
+    rule: leftmost column of ``columns``, then lowest eligible row; a swap is
+    three row additions, and every addition acts on the whole row."""
+    mat = gf2.as_bits(m)
+    rows, cols = mat.shape
+    pivots: list[int] = []
+    trace: list[gf2.RowOp] = []
+    rr = 0
+    for c in range(cols) if columns is None else columns:
+        if rr == rows:
+            break
+        hit = np.flatnonzero(mat[rr:, c])
+        if hit.size == 0:
+            continue
+        p = rr + int(hit[0])
+        if p != rr:
+            for t, s in ((rr, p), (p, rr), (rr, p)):
+                mat[t] ^= mat[s]
+                trace.append((t, s))
+        for i in np.flatnonzero(mat[:, c]):
+            i = int(i)
+            if i != rr:
+                mat[i] ^= mat[rr]
+                trace.append((i, rr))
+        pivots.append(c)
+        rr += 1
+    return gf2.RrefResult(mat, pivots, trace)
+
+
+def replay_row_ops(m: np.ndarray, trace: list[gf2.RowOp]) -> np.ndarray:
+    """Apply a row-op trace to a copy of ``m``."""
+    mat = gf2.as_bits(m)
+    for t, s in trace:
+        mat[t] ^= mat[s]
+    return mat
+
+
 def in_rowspan(m_rref: gf2.RrefResult, v: np.ndarray) -> bool:
     """Membership of ``v`` in the row span, given a precomputed RREF."""
     v = gf2.as_bits(v)
