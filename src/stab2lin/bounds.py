@@ -41,7 +41,8 @@ def bound_mrrw_adversarial(delta: float) -> float:
 
 
 def bound_linear_adversarial(delta: float) -> float:
-    """The 1 - 4 delta upper bound (applies to nonstabilizer codes too)."""
+    """The 1 - 4 delta upper bound, for both channels (applies to
+    nonstabilizer codes too)."""
     return 1.0 - 4.0 * float(delta)
 
 
@@ -62,16 +63,6 @@ def bound_shannon_depolarizing(delta: float) -> float:
     """1 - H(delta), the classical binary-symmetric-channel bound."""
     delta = _check_domain(delta, 1.0)
     return 1.0 - binary_entropy(delta)
-
-
-def bound_linear_depolarizing(delta: float) -> float:
-    """1 - 4 delta for the depolarizing channel."""
-    return 1.0 - 4.0 * float(delta)
-
-
-def bound_lower_depolarizing(delta: float) -> float:
-    """1 - H(delta) - delta log2 3 as the depolarizing-channel lower bound."""
-    return bound_sphere_packing_nondeg(delta)
 
 
 @dataclass(frozen=True)
@@ -110,10 +101,10 @@ CURVES: tuple[BoundCurve, ...] = (
         "shannon_depolarizing", "depolarizing", "upper", bound_shannon_depolarizing, (0.0, 0.5)
     ),
     BoundCurve(
-        "linear_depolarizing", "depolarizing", "upper", bound_linear_depolarizing, (0.0, 0.5)
+        "linear_depolarizing", "depolarizing", "upper", bound_linear_adversarial, (0.0, 0.5)
     ),
     BoundCurve(
-        "lower_depolarizing", "depolarizing", "lower", bound_lower_depolarizing, (0.0, 0.5)
+        "lower_depolarizing", "depolarizing", "lower", bound_sphere_packing_nondeg, (0.0, 0.5)
     ),
 )
 

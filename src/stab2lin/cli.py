@@ -72,9 +72,12 @@ def _emit_json(payload: dict):
 def _write_out(text: str, out):
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        _fail(f"cannot write {out}: {exc.strerror or exc}", 2)
 
 
 @click.group()
@@ -115,8 +118,10 @@ def _standardized(file, ensure_r):
     """The standard form of the file's code, after ``ensure_positive_r``
     under --ensure-r; the EnsureRResult is None without it."""
     code = _load_valid_stab(file, "standardize")
-    result = ensure_positive_r(code) if ensure_r else None
-    return to_standard_form(result.code if result else code), result
+    if not ensure_r:
+        return to_standard_form(code), None
+    result = ensure_positive_r(code)
+    return result.standard_form, result
 
 
 def _ensure_r_json(result) -> dict:
@@ -175,7 +180,7 @@ def extract(file, ensure_r, out, as_json):
     sf, ensured = _standardized(file, ensure_r)
     if sf.k == 0:
         _fail("no encoded qubits, no classical code (k = 0)", 1)
-    result = extract_classical(sf, provenance=str(file))
+    result = extract_classical(sf)
     summary = (
         f"({result.n_classical},{result.k}) classical code; "
         f"theorem form ({result.source_n - 1},{result.k})"

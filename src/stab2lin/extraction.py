@@ -29,7 +29,6 @@ class ExtractionResult:
     k: int
     r: int
     source_n: int
-    provenance: str = ""
 
     @property
     def parameters(self) -> tuple[int, int]:
@@ -44,7 +43,7 @@ class ExtractionResult:
         return self.r == 0
 
 
-def extract_classical(sf: StandardForm, provenance: str = "") -> ExtractionResult:
+def extract_classical(sf: StandardForm) -> ExtractionResult:
     """Build (A1^T | I_k) from a standard form. Requires k >= 1."""
     if sf.k == 0:
         raise ValueError("no encoded qubits, no classical code")
@@ -55,5 +54,4 @@ def extract_classical(sf: StandardForm, provenance: str = "") -> ExtractionResul
         k=sf.k,
         r=sf.r,
         source_n=sf.n,
-        provenance=provenance,
     )

@@ -35,7 +35,6 @@ def _content_lines(text: str):
 def parse_stabilizer_text(text: str) -> StabilizerCode:
     rows = []
     mode = None  # "pauli" | "binary"
-    n = None
     for lineno, line in _content_lines(text):
         this_mode = "binary" if "|" in line else "pauli"
         if mode is None:
@@ -46,14 +45,9 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
             )
         if this_mode == "pauli":
             try:
-                p = parse_pauli(line)
+                row = parse_pauli(line)
             except PauliParseError as exc:
                 raise FormatError(str(exc), lineno) from exc
-            if n is None:
-                n = p.n
-            elif p.n != n:
-                raise FormatError(f"expected {n} positions, got {p.n}", lineno)
-            rows.append(p.to_bits())
         else:
             left, _, right = line.partition("|")
             left, right = left.strip(), right.strip()
@@ -63,16 +57,14 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
                 )
             if not left or set(left + right) - {"0", "1"}:
                 raise FormatError("binary line must be nonempty over {0,1}", lineno)
-            if n is None:
-                n = len(left)
-            elif len(left) != n:
-                raise FormatError(f"expected {n} positions, got {len(left)}", lineno)
-            rows.append(
-                np.array([int(c) for c in left + right], dtype=np.uint8)
-            )
+            row = np.array([int(c) for c in left + right], dtype=np.uint8)
+        if rows and len(row) != len(rows[0]):
+            n = len(rows[0]) // 2
+            raise FormatError(f"expected {n} positions, got {len(row) // 2}", lineno)
+        rows.append(row)
     if not rows:
         raise FormatError("no generators found", 1)
-    return StabilizerCode(np.array(rows, dtype=np.uint8), n)
+    return StabilizerCode(np.array(rows), len(rows[0]) // 2)
 
 
 def _read_text(path) -> str:

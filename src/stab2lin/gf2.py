@@ -33,15 +33,6 @@ def as_bits(values, *, copy: bool = True) -> np.ndarray:
     return arr
 
 
-def dot(u: np.ndarray, v: np.ndarray) -> int:
-    """Inner product of two bit vectors in modulo-two arithmetic."""
-    u = np.asarray(u, dtype=np.uint8)
-    v = np.asarray(v, dtype=np.uint8)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return int(np.bitwise_and(u, v).sum() & 1)
-
-
 @dataclass(frozen=True)
 class RrefResult:
     """Reduced row-echelon form plus the pivots and the row-op trace."""

@@ -1,18 +1,16 @@
-"""Pauli operators as binary (a|b) vectors.
+"""Pauli operators as bit rows and as phase-tracked triples.
 
-An n-qubit tensor product of I, X, Y, Z is encoded by two length-n bit
-vectors: ``a[i] = 1`` when position i carries X or Y, ``b[i] = 1`` when it
+An unsigned n-qubit tensor product of I, X, Y, Z is a 2n-bit uint8 row
+(a|b): ``a[i] = 1`` when position i carries X or Y, ``b[i] = 1`` when it
 carries Z or Y.  Phases are dropped there: a row stands for i^(a.b) X^a Z^b,
 which is Hermitian and squares to +I.  Where signs matter, a Pauli is a
-phase-tracked triple ``(x, z, p)`` of int bitmasks (``gf2.to_ints``: bit j is
+signed triple ``(x, z, p)`` of int bitmasks (``gf2.to_ints``: bit j is
 qubit j) and a power of i, the operator i^p X^x Z^z; ``StabilizerTableau``
 tracks a stabilizer state in that form (Aaronson & Gottesman,
 quant-ph/0406196).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,80 +28,35 @@ class PauliParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class PauliVector:
-    """One generator as an (a|b) bit-vector pair."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", gf2.as_bits(self.a))
-        object.__setattr__(self, "b", gf2.as_bits(self.b))
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
-            raise ValueError("a and b must be bit vectors of equal length")
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity positions."""
-        return int(np.count_nonzero(self.a | self.b))
-
-    def to_bits(self) -> np.ndarray:
-        """The 2n-bit concatenation (a|b)."""
-        return np.concatenate([self.a, self.b])
-
-    def to_string(self) -> str:
-        return "".join(
-            _BITS_TO_CHAR[(int(x), int(z))] for x, z in zip(self.a, self.b)
-        )
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-
-def parse_pauli(text: str) -> PauliVector:
-    """Parse a symbol string over {I, X, Y, Z} (optional leading '+')."""
+def parse_pauli(text: str) -> np.ndarray:
+    """The (a|b) row of a symbol string over {I, X, Y, Z} (optional leading
+    '+')."""
     if text.startswith("+"):
         text = text[1:]
     if not text:
         raise PauliParseError("empty Pauli string", 1)
-    a = np.zeros(len(text), dtype=np.uint8)
-    b = np.zeros(len(text), dtype=np.uint8)
+    ab = np.zeros((2, len(text)), dtype=np.uint8)
     for i, ch in enumerate(text):
         bits = _CHAR_TO_BITS.get(ch.upper())
         if bits is None:
             raise PauliParseError(f"invalid symbol {ch!r}", i + 1)
-        a[i], b[i] = bits
-    return PauliVector(a, b)
+        ab[:, i] = bits
+    return ab.reshape(-1)
 
 
-def from_bits(row: np.ndarray) -> PauliVector:
-    """Build a PauliVector from a 2n-bit (a|b) row."""
-    row = gf2.as_bits(row)
-    if row.ndim != 1 or len(row) % 2:
-        raise ValueError("expected a flat 2n-bit row")
-    n = len(row) // 2
-    return PauliVector(row[:n], row[n:])
-
-
-def symplectic_product(p: PauliVector, q: PauliVector) -> int:
-    """(a.b') xor (a'.b); 0 means the operators commute, 1 anticommute."""
-    if p.n != q.n:
-        raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
-    return gf2.dot(p.a, q.b) ^ gf2.dot(q.a, p.b)
+def pauli_string(row: np.ndarray) -> str:
+    """The symbol string of an (a|b) row."""
+    a, b = np.reshape(row, (2, -1))
+    return "".join(_BITS_TO_CHAR[int(x), int(z)] for x, z in zip(a, b))
 
 
 def symplectic_product_rows(rows: np.ndarray) -> np.ndarray:
-    """All pairwise symplectic products of the rows of an m x 2n matrix."""
+    """All pairwise symplectic products (a.b') xor (a'.b) of the rows of an
+    m x 2n matrix: entry (i, j) is 1 when rows i and j anticommute."""
     rows = gf2.as_bits(rows, copy=False)
-    m, two_n = rows.shape
-    n = two_n // 2
+    n = rows.shape[1] // 2
     a, b = rows[:, :n], rows[:, n:]
-    return (gf2.mat_mul(a, b.T) ^ gf2.mat_mul(b, a.T)).astype(np.uint8)
+    return gf2.mat_mul(a, b.T) ^ gf2.mat_mul(b, a.T)
 
 
 SignedPauli = tuple[int, int, int]

@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import _kernels, gf2
-from .pauli import PauliVector, parse_pauli, symplectic_product_rows
+from .pauli import parse_pauli, pauli_string, symplectic_product_rows
 
 ROW_ADDITION = "row-addition"
 COLUMN_TRANSPOSITION = "column-transposition"
@@ -61,14 +61,13 @@ class StabilizerCode:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def from_paulis(cls, paulis) -> "StabilizerCode":
-        rows = [parse_pauli(p) if isinstance(p, str) else p for p in paulis]
+    def from_paulis(cls, paulis: list[str]) -> "StabilizerCode":
+        rows = [parse_pauli(p) for p in paulis]
         if not rows:
             raise ValueError("need at least one generator")
-        n = rows[0].n
-        if any(p.n != n for p in rows):
+        if len({len(row) for row in rows}) > 1:
             raise ValueError("generators must act on the same number of qubits")
-        return cls(np.array([p.to_bits() for p in rows], dtype=np.uint8), n)
+        return cls(np.array(rows), len(rows[0]) // 2)
 
     @property
     def m(self) -> int:
@@ -78,11 +77,8 @@ class StabilizerCode:
     def k(self) -> int:
         return self.n - self.m
 
-    def row(self, i: int) -> PauliVector:
-        return PauliVector(self.matrix[i, : self.n], self.matrix[i, self.n :])
-
     def pauli_strings(self) -> list[str]:
-        return [self.row(i).to_string() for i in range(self.m)]
+        return [pauli_string(row) for row in self.matrix]
 
 
 @dataclass(frozen=True)
@@ -271,7 +267,8 @@ MAX_ENSURE_R_SUBSETS = 2 * 10**5
 
 @dataclass(frozen=True)
 class EnsureRResult:
-    """An equivalent code with r >= 1 and the column operations that give it.
+    """An equivalent code with r >= 1, its standard form, and the column
+    operations that give it.
 
     ``minimal`` is False when a subset size was skipped under
     ``MAX_ENSURE_R_SUBSETS``, so a shorter or tie-preferred list may exist.
@@ -279,6 +276,7 @@ class EnsureRResult:
 
     code: StabilizerCode
     ops: list[ElementaryOp]
+    standard_form: StandardForm
     minimal: bool = True
 
     @property
@@ -305,7 +303,7 @@ def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
     """
     sf = to_standard_form(code)
     if sf.r >= 1:
-        return EnsureRResult(code, [])
+        return EnsureRResult(code, [], sf)
     n, m = code.n, code.m
     # the standardized generators as X and Z bitmasks over original qubits
     std = sf.reassemble()
@@ -335,7 +333,8 @@ def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
         ElementaryOp(COLUMN_SWITCH, (i,)) if i < n else ElementaryOp(COLUMN_ADDITION, (i - n,))
         for i in best
     ]
-    return EnsureRResult(apply_ops(code, ops), ops, minimal)
+    moved = apply_ops(code, ops)
+    return EnsureRResult(moved, ops, to_standard_form(moved), minimal)
 
 
 def logical_phase_ops(sf: StandardForm) -> np.ndarray:
@@ -361,13 +360,8 @@ def logical_bit_ops(sf: StandardForm) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogicalAlgebraReport:
-    """Outcome of the three commuting-set checks for G, L, N."""
+    """Each pair of G, L, N operators whose symplectic product is wrong."""
 
-    gl_commuting_ok: bool
-    gl_independent_ok: bool
-    gn_commuting_ok: bool
-    gn_independent_ok: bool
-    pairing_ok: bool
     failures: list[str]
 
     @property
@@ -377,39 +371,28 @@ class LogicalAlgebraReport:
 
 def verify_logical_algebra(sf: StandardForm) -> LogicalAlgebraReport:
     """Check that G+L and G+N are n independent commuting operators and that
-    N_i, L_j anticommute exactly when i = j."""
-    gens = sf.reassemble()
-    lops = logical_phase_ops(sf)
-    nops = logical_bit_ops(sf)
-    n = sf.n
-    failures: list[str] = []
+    N_i, L_j anticommute exactly when i = j.
 
-    def commuting(stack, label):
-        prods = symplectic_product_rows(stack)
-        bad = np.argwhere(np.triu(prods, 1))
-        for i, j in bad:
-            failures.append(f"{label}: rows {int(i)},{int(j)} anticommute")
-        return bad.size == 0
-
-    gl = np.vstack([gens, lops]) if sf.k else gens
-    gn = np.vstack([gens, nops]) if sf.k else gens
-    gl_comm = commuting(gl, "G+L")
-    gn_comm = commuting(gn, "G+N")
-    gl_ind = gf2.rank(gl) == n
-    gn_ind = gf2.rank(gn) == n
-    if not gl_ind:
-        failures.append(f"G+L rank {gf2.rank(gl)} != n = {n}")
-    if not gn_ind:
-        failures.append(f"G+N rank {gf2.rank(gn)} != n = {n}")
-    pairing = True
-    na, nb = nops[:, :n], nops[:, n:]
-    la, lb = lops[:, :n], lops[:, n:]
-    prods = gf2.mat_mul(na, lb.T) ^ gf2.mat_mul(nb, la.T)
-    if not np.array_equal(prods, np.eye(sf.k, dtype=np.uint8)):
-        pairing = False
-        for i, j in np.argwhere(prods ^ np.eye(sf.k, dtype=np.uint8)):
-            failures.append(f"N_{int(i)+1} vs L_{int(j)+1} pairing wrong")
-    return LogicalAlgebraReport(gl_comm, gl_ind, gn_comm, gn_ind, pairing, failures)
+    One Gram matrix of symplectic products over the stack [G; L; N] decides
+    all of it: every entry must be 0 except the L-N and N-L blocks, which
+    must be I_k.  Independence follows from that pattern.  G is independent
+    by its I_s and I_r blocks.  If sum a_i G_i + sum b_j L_j = 0, pairing the
+    sum with N_l leaves b_l = 0, so every b_j and then every a_i is 0; pairing
+    with L_l does the same for G+N.
+    """
+    m, k = sf.m, sf.k
+    gram = symplectic_product_rows(
+        np.vstack([sf.reassemble(), logical_phase_ops(sf), logical_bit_ops(sf)])
+    )
+    expected = np.zeros_like(gram)
+    expected[m : m + k, m + k :] = expected[m + k :, m : m + k] = np.eye(k, dtype=np.uint8)
+    names = [f"G_{i + 1}" for i in range(m)]
+    names += [f"{op}_{j + 1}" for op in "LN" for j in range(k)]
+    failures = [
+        f"{names[i]}, {names[j]} {'commute' if expected[i, j] else 'anticommute'}"
+        for i, j in np.argwhere(np.triu(gram ^ expected, 1))
+    ]
+    return LogicalAlgebraReport(failures)
 
 
 # The distance search refuses to start a weight level that lists more join

@@ -17,7 +17,6 @@ import numpy as np
 
 from stab2lin import gf2
 from stab2lin.extraction import extract_classical
-from stab2lin.pauli import PauliVector, from_bits
 from stab2lin.stabilizer import StandardForm, logical_bit_ops, logical_phase_ops
 from stab2lin.statevec import COLLAPSED, PhiReport
 
@@ -56,22 +55,24 @@ def _parity_signs(masked: np.ndarray) -> np.ndarray:
 _I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
 
-def apply_pauli(state: StateVector, p: PauliVector) -> StateVector:
-    """Apply i^(a.b) X^a Z^b to the state."""
-    if p.n != state.n:
-        raise ValueError(f"dimension mismatch: state n={state.n}, operator n={p.n}")
+def apply_pauli(state: StateVector, row: np.ndarray) -> StateVector:
+    """Apply i^(a.b) X^a Z^b, the operator of the (a|b) row, to the state."""
+    if len(row) != 2 * state.n:
+        raise ValueError(f"dimension mismatch: state n={state.n}, row of {len(row)} bits")
     n = state.n
-    amask, bmask = gf2.to_ints(np.stack([p.a[::-1], p.b[::-1]]))  # qubit 1 is the top bit
+    a, b = np.reshape(row, (2, n))
+    amask, bmask = gf2.to_ints(np.stack([a[::-1], b[::-1]]))  # qubit 1 is the top bit
     idx = np.arange(1 << n)
     src = idx ^ amask
     signs = _parity_signs(src & bmask)
-    phase = _I_POWERS[int(np.bitwise_and(p.a, p.b).sum() & 3)]
+    phase = _I_POWERS[int(np.bitwise_and(a, b).sum() & 3)]
     return StateVector(n, phase * signs * state.amplitudes[src])
 
 
-def eigenvalue_sign(state: StateVector, p: PauliVector, tol: float = TOL):
-    """+1 or -1 when the state is an eigenvector within tol, else None."""
-    moved = apply_pauli(state, p).amplitudes
+def eigenvalue_sign(state: StateVector, row: np.ndarray, tol: float = TOL):
+    """+1 or -1 when the state is an eigenvector of the row's operator within
+    tol, else None."""
+    moved = apply_pauli(state, row).amplitudes
     for sign in (1.0, -1.0):
         if np.max(np.abs(moved - sign * state.amplitudes)) < tol:
             return int(sign)
@@ -86,7 +87,7 @@ def build_C0(sf: StandardForm, cap: int = DEFAULT_STATE_CAP) -> StateVector:
         raise ValueError(f"n = {n} exceeds the statevector cap {cap}")
     amps = zero_state(n).amplitudes
     for row in np.vstack([sf.reassemble()[: sf.s], logical_phase_ops(sf)]):
-        amps = amps + apply_pauli(StateVector(n, amps), from_bits(row)).amplitudes
+        amps = amps + apply_pauli(StateVector(n, amps), row).amplitudes
     amps = amps / np.sqrt(2.0 ** (sf.s + sf.k))
     state = StateVector(n, amps)
     if state.norm < 0.5:
@@ -100,7 +101,7 @@ def build_Cx(sf: StandardForm, x: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> S
     if x.shape != (sf.k,):
         raise ValueError(f"message length {x.shape} != k = {sf.k}")
     nx = gf2.mat_mul(x[None, :], logical_bit_ops(sf))[0]  # the N_j are Z-type
-    return apply_pauli(build_C0(sf, cap=cap), from_bits(nx))
+    return apply_pauli(build_C0(sf, cap=cap), nx)
 
 
 def phi(sf: StandardForm, y: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> StateVector:
@@ -109,10 +110,8 @@ def phi(sf: StandardForm, y: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> StateV
     nr = sf.n - sf.r
     if y.shape != (nr,):
         raise ValueError(f"expected {nr} bits, got {y.shape}")
-    op = PauliVector(
-        np.zeros(sf.n, dtype=np.uint8),
-        np.concatenate([y, np.zeros(sf.r, dtype=np.uint8)]),
-    )
+    op = np.zeros(2 * sf.n, dtype=np.uint8)
+    op[sf.n : 2 * sf.n - sf.r] = y
     return apply_pauli(build_C0(sf, cap=cap), op)
 
 
@@ -139,7 +138,6 @@ def dense_verify_phi(sf: StandardForm, tol: float = TOL) -> PhiReport:
     #    every generator, for all 2^k messages
     cw_ok = True
     gens = sf.reassemble()
-    g_rows = [PauliVector(row[:n], row[n:]) for row in gens]
     if k:
         gen = extract_classical(sf).generator
         n_rows = logical_bit_ops(sf)
@@ -148,9 +146,9 @@ def dense_verify_phi(sf: StandardForm, tol: float = TOL) -> PhiReport:
             y = (x @ gen & 1).astype(np.uint8)
             lhs = images[int("".join(map(str, y)), 2)]
             nx = (x @ n_rows & 1).astype(np.uint8)
-            rhs = apply_pauli(StateVector(n, c0), PauliVector(nx[:n], nx[n:])).amplitudes
+            rhs = apply_pauli(StateVector(n, c0), nx).amplitudes
             dev = float(np.max(np.abs(lhs - rhs)))
-            for g in g_rows:
+            for g in gens:
                 moved = apply_pauli(StateVector(n, lhs), g).amplitudes
                 dev = max(dev, float(np.max(np.abs(moved - lhs))))
             max_dev = max(max_dev, dev)

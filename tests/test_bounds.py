@@ -62,10 +62,9 @@ def test_mrrw_domain():
 
 
 def test_linear_bounds():
-    for f in (B.bound_linear_adversarial, B.bound_linear_depolarizing):
-        assert f(0.0) == 1.0
-        assert f(0.25) == 0.0
-        assert f(0.05) == pytest.approx(0.8, abs=1e-15)
+    assert B.bound_linear_adversarial(0.0) == 1.0
+    assert B.bound_linear_adversarial(0.25) == 0.0
+    assert B.bound_linear_adversarial(0.05) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_sphere_packing_values():
@@ -103,8 +102,10 @@ def test_shannon_depolarizing():
 
 
 def test_lower_depolarizing_shares_formula():
+    curves = {c.name: c for c in B.curves_for("depolarizing")}
     for d in np.linspace(0, 0.5, 11):
-        assert B.bound_lower_depolarizing(d) == B.bound_sphere_packing_nondeg(d)
+        assert curves["lower_depolarizing"].raw(d) == B.bound_sphere_packing_nondeg(d)
+        assert curves["linear_depolarizing"].raw(d) == B.bound_linear_adversarial(d)
 
 
 def test_mrrw_dominates_linear_on_grid():
@@ -113,8 +114,8 @@ def test_mrrw_dominates_linear_on_grid():
 
 
 def test_both_orderings_exist():
-    assert B.bound_shannon_depolarizing(0.05) < B.bound_linear_depolarizing(0.05)
-    assert B.bound_shannon_depolarizing(0.2) > B.bound_linear_depolarizing(0.2)
+    assert B.bound_shannon_depolarizing(0.05) < B.bound_linear_adversarial(0.05)
+    assert B.bound_shannon_depolarizing(0.2) > B.bound_linear_adversarial(0.2)
 
 
 def test_upper_curves_nonincreasing():

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stab2lin import _kernels, stabilizer
+from stab2lin import _kernels, cli, stabilizer
 from stab2lin.cli import main
 
 from util import data_path, random_code, rotated_surface_code
@@ -135,6 +135,29 @@ def test_extract_ensure_r_not_minimal_note_on_stderr(tmp_path, monkeypatch):
     assert payload["ensure_r_minimal"] is False
 
 
+@pytest.mark.parametrize("name, reductions, validations", [
+    ("eight_three.stab", 1, 2),  # r = 1: the reduction ensure-r makes is the answer
+    ("xx_two.stab", 2, 3),  # r = 0: the moved code is reduced once more
+])
+@pytest.mark.parametrize("command", ["standardize", "extract"])
+def test_ensure_r_reduction_count(monkeypatch, command, name, reductions, validations):
+    calls = {"validate": 0, "to_standard_form": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for attr in calls:
+        monkeypatch.setattr(stabilizer, attr, counted(getattr(stabilizer, attr)))
+    monkeypatch.setattr(cli, "validate_code", stabilizer.validate)
+    monkeypatch.setattr(cli, "to_standard_form", stabilizer.to_standard_form)
+    res = run(command, data_path(name), "--ensure-r", "--json")
+    assert res.exit_code == 0
+    assert calls == {"validate": validations, "to_standard_form": reductions}
+
+
 @pytest.mark.parametrize("command", ["standardize", "extract"])
 def test_depth_option_is_a_usage_error(command):
     res = run(command, data_path("xx_two.stab"), "--ensure-r", "--depth", "3")
@@ -150,6 +173,19 @@ def test_standardize_writes_output_file(tmp_path):
     assert text.startswith("# standard form: s=4 k=3 r=1")
     rows = [l for l in text.splitlines() if l and not l.startswith("#")]
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("standardize", data_path("eight_three.stab")),
+    ("extract", data_path("eight_three.stab")),
+    ("bounds", "--channel", "adversarial"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, argv):
+    out = tmp_path / "no-such-dir" / "out.txt"
+    res = run(*argv, "-o", out)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: cannot write {out}: No such file or directory" in res.stderr
 
 
 def test_standardize_invalid_input():
@@ -458,7 +494,7 @@ def fuzz_argv(draw, fuzz_dir):
         elif flag == "--channel":
             argv.append(draw(st.sampled_from(("adversarial", "depolarizing", "bogus"))))
         elif flag == "-o":
-            argv.append(str(fuzz_dir / "out.txt"))
+            argv.append(str(fuzz_dir / draw(st.sampled_from(("out.txt", "no-such-dir/out.txt")))))
     return argv
 
 

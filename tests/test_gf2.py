@@ -33,27 +33,6 @@ def spanned_rank(m: np.ndarray) -> int:
     return len(seen).bit_length() - 1
 
 
-def test_dot_eight_ones():
-    ones = np.ones(8, dtype=np.uint8)
-    assert gf2.dot(ones, ones) == 0
-
-
-def test_dot_zero_vector():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        u = rng.integers(0, 2, size=6).astype(np.uint8)
-        assert gf2.dot(u, np.zeros(6, dtype=np.uint8)) == 0
-
-
-def test_dot_single_overlap():
-    assert gf2.dot(np.array([1, 0, 1]), np.array([1, 0, 0])) == 1
-
-
-def test_dot_dimension_mismatch():
-    with pytest.raises(ValueError):
-        gf2.dot(np.array([1, 0]), np.array([1, 0, 1]))
-
-
 def test_rank_x_submatrix_is_4():
     assert gf2.rank(X8) == 4
     assert spanned_rank(X8) == 4

@@ -19,7 +19,7 @@ from stab2lin.lincode import (
     encode,
 )
 
-from util import data_path, in_rowspan, random_stabilizer_code
+from util import data_path, in_rowspan, pauli_weight_rows, random_stabilizer_code
 
 MASK64 = (1 << 64) - 1
 
@@ -75,11 +75,10 @@ def pauli_enumeration_min_weight(code, cap):
     best = 0
     for bits in product((0, 1), repeat=2 * n):
         v = np.array(bits, np.uint8)
-        p = pauli.from_bits(v)
-        w = p.weight
+        w = int(pauli_weight_rows(v[None, :])[0])
         if w == 0 or w > cap or (best and w >= best):
             continue
-        if any(pauli.symplectic_product(p, pauli.from_bits(r)) for r in code.matrix):
+        if pauli.symplectic_product_rows(np.vstack([v, code.matrix]))[0].any():
             continue
         if not in_rowspan(red, v):
             best = w

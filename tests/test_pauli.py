@@ -5,35 +5,32 @@ from hypothesis import strategies as st
 
 from stab2lin.pauli import (
     PauliParseError,
-    PauliVector,
     StabilizerTableau,
     anticommute,
-    from_bits,
     parse_pauli,
     pauli_product,
+    pauli_string,
     signed_row,
-    symplectic_product,
     symplectic_product_rows,
 )
 
 from phi_oracle import StateVector, apply_pauli, zero_state
+from util import pauli_weight_rows
 
 
 def test_parse_worked_example():
-    p = parse_pauli("XIXIZYZY")
-    assert list(p.a) == [1, 0, 1, 0, 0, 1, 0, 1]
-    assert list(p.b) == [0, 0, 0, 0, 1, 1, 1, 1]
+    row = parse_pauli("XIXIZYZY")
+    assert list(row) == [1, 0, 1, 0, 0, 1, 0, 1] + [0, 0, 0, 0, 1, 1, 1, 1]
+    assert row.dtype == np.uint8
 
 
 def test_parse_identity_and_y():
-    p = parse_pauli("IIII")
-    assert not p.a.any() and not p.b.any()
-    y = parse_pauli("Y")
-    assert list(y.a) == [1] and list(y.b) == [1]
+    assert not parse_pauli("IIII").any() and len(parse_pauli("IIII")) == 8
+    assert list(parse_pauli("Y")) == [1, 1]
 
 
 def test_parse_plus_prefix():
-    assert parse_pauli("+XZ").to_string() == "XZ"
+    assert pauli_string(parse_pauli("+XZ")) == "XZ"
 
 
 def test_parse_invalid_symbol_position():
@@ -51,41 +48,45 @@ def test_parse_empty():
 
 def test_string_roundtrip():
     for s in ("XIXIZYZY", "IIII", "Y", "XYZI"):
-        assert parse_pauli(s).to_string() == s
+        assert pauli_string(parse_pauli(s)) == s
+
+
+def symplectic(p, q):
+    """The symplectic product of two rows, through the one production path."""
+    return int(symplectic_product_rows(np.stack([p, q]))[0, 1])
 
 
 def test_symplectic_first_two_rows_of_worked_example():
-    p = PauliVector(np.ones(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8))
-    q = PauliVector(np.zeros(8, dtype=np.uint8), np.ones(8, dtype=np.uint8))
-    assert symplectic_product(p, q) == 0
+    p = np.concatenate([np.ones(8, np.uint8), np.zeros(8, np.uint8)])
+    q = np.concatenate([np.zeros(8, np.uint8), np.ones(8, np.uint8)])
+    assert symplectic(p, q) == 0
 
 
 def test_symplectic_self_is_zero():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = int(rng.integers(1, 9))
-        p = PauliVector(rng.integers(0, 2, n).astype(np.uint8), rng.integers(0, 2, n).astype(np.uint8))
-        assert symplectic_product(p, p) == 0
+        rows = rng.integers(0, 2, size=(5, 2 * n)).astype(np.uint8)
+        assert not np.diag(symplectic_product_rows(rows)).any()
 
 
 def test_symplectic_anticommuting_pair():
-    assert symplectic_product(parse_pauli("XII"), parse_pauli("ZII")) == 1
+    assert symplectic(parse_pauli("XII"), parse_pauli("ZII")) == 1
 
 
 def test_symplectic_dimension_mismatch():
+    # an odd row width has no (a|b) split
     with pytest.raises(ValueError):
-        symplectic_product(parse_pauli("X"), parse_pauli("XX"))
+        symplectic_product_rows(np.ones((2, 3), np.uint8))
 
 
 def test_symplectic_symmetry_and_bilinearity():
     rng = np.random.default_rng(4)
     n = 6
     for _ in range(100):
-        bits = rng.integers(0, 2, size=(3, 2 * n)).astype(np.uint8)
-        p, q, w = (from_bits(row) for row in bits)
-        assert symplectic_product(p, q) == symplectic_product(q, p)
-        pw = from_bits(bits[0] ^ bits[2])
-        assert symplectic_product(pw, q) == symplectic_product(p, q) ^ symplectic_product(w, q)
+        p, q, w = rng.integers(0, 2, size=(3, 2 * n)).astype(np.uint8)
+        assert symplectic(p, q) == symplectic(q, p)
+        assert symplectic(p ^ w, q) == symplectic(p, q) ^ symplectic(w, q)
 
 
 def test_symplectic_rows_matches_scalar():
@@ -94,19 +95,20 @@ def test_symplectic_rows_matches_scalar():
     mat = symplectic_product_rows(rows)
     for i in range(4):
         for j in range(4):
-            assert mat[i, j] == symplectic_product(from_bits(rows[i]), from_bits(rows[j]))
+            (ai, bi), (aj, bj) = rows[i].reshape(2, 5), rows[j].reshape(2, 5)
+            assert mat[i, j] == (int(ai @ bj) + int(aj @ bi)) % 2
 
 
 def test_weight():
-    assert parse_pauli("XIYZI").weight == 3
-    assert parse_pauli("IIII").weight == 0
+    rows = np.stack([parse_pauli("XIYZI"), parse_pauli("IIIII")])
+    assert list(pauli_weight_rows(rows)) == [3, 0]
 
 
 def dense(p, state):
     """Apply the triple (x, z, p), the operator i^p X^x Z^z, to a state."""
     x, z, phase = p
-    bits = [[(v >> j) & 1 for j in range(state.n)] for v in (x, z)]
-    moved = apply_pauli(state, PauliVector(*bits)).amplitudes
+    row = np.array([(v >> j) & 1 for v in (x, z) for j in range(state.n)], np.uint8)
+    moved = apply_pauli(state, row).amplitudes
     return moved * 1j ** ((phase - (x & z).bit_count()) % 4)
 
 
@@ -119,7 +121,7 @@ def triples(n, hermitian=False):
 
 
 def test_signed_row_convention():
-    assert signed_row(parse_pauli("XYZI").to_bits()) == (0b0011, 0b0110, 1)
+    assert signed_row(parse_pauli("XYZI")) == (0b0011, 0b0110, 1)
     y = (1, 1, 1)  # i X Z = Y
     assert np.allclose(dense(y, zero_state(1)), [0.0, 1j])
 
@@ -133,9 +135,8 @@ def test_pauli_product_matches_dense(case):
     state = StateVector(n, amps)
     expected = dense(p, StateVector(n, dense(q, state)))
     assert np.allclose(dense(pauli_product(p, q), state), expected)
-    assert anticommute(p, q) == (symplectic_product(
-        PauliVector(*[[(v >> j) & 1 for j in range(n)] for v in p[:2]]),
-        PauliVector(*[[(v >> j) & 1 for j in range(n)] for v in q[:2]])) == 1)
+    rows = np.array([[(v >> j) & 1 for v in t[:2] for j in range(n)] for t in (p, q)], np.uint8)
+    assert anticommute(p, q) == bool(symplectic_product_rows(rows)[0, 1])
 
 
 @given(st.integers(1, 3).flatmap(

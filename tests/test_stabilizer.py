@@ -1,9 +1,10 @@
 import dataclasses
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stab2lin import _kernels, gf2, stabilizer
@@ -31,7 +32,9 @@ from util import (
     in_rowspan,
     pauli_weight_rows,
     random_elementary_op,
+    random_r_zero_code,
     random_stabilizer_code,
+    reference_logical_algebra_ok,
     rotated_surface_code,
 )
 
@@ -296,6 +299,71 @@ def test_verify_logical_algebra_detects_corruption(eight_three):
     assert not rep.ok
 
 
+BLOCKS = ("a1", "a2", "b1", "b2", "b3", "c1", "c2")
+LOGICALS = ("logical_phase_ops", "logical_bit_ops")
+
+
+@given(
+    st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from(BLOCKS + LOGICALS), st.integers(0, 200)), max_size=2),
+)
+@example((4, 4), True, 0, [])  # k = 0 and r = 0
+@example((5, 5), False, 1, [("b1", 3)])  # k = 0
+@example((6, 3), True, 2, [("a1", 4), ("b2", 5)])  # r = 0
+@example((7, 4), False, 3, [("logical_phase_ops", 9)])
+@settings(max_examples=200, deadline=None)
+def test_verify_logical_algebra_matches_rank_reference(nm, r_zero, seed, flips):
+    # flips land in the standard-form blocks, or in the L and N rows, which
+    # the blocks alone always give a correct algebra
+    n, m = nm
+    rng = np.random.default_rng(seed)
+    code = (random_r_zero_code if r_zero else random_stabilizer_code)(rng, n, m)
+    sf = to_standard_form(code)
+    if r_zero:
+        assert sf.r == 0
+
+    def flip(arrays):
+        for name, pos in flips:
+            if name in arrays and arrays[name].size:
+                arrays[name].flat[pos % arrays[name].size] ^= 1
+        return arrays
+
+    sf = dataclasses.replace(sf, **flip({name: getattr(sf, name).copy() for name in BLOCKS}))
+    ops = flip({name: getattr(stabilizer, name)(sf) for name in LOGICALS})
+    with mock.patch.object(stabilizer, "logical_phase_ops", lambda _: ops["logical_phase_ops"]), \
+            mock.patch.object(stabilizer, "logical_bit_ops", lambda _: ops["logical_bit_ops"]):
+        assert verify_logical_algebra(sf).ok == reference_logical_algebra_ok(sf)
+
+
+def test_verify_logical_algebra_names_a_logical_equal_to_a_generator(eight_three, monkeypatch):
+    sf = to_standard_form(eight_three)
+    fake = stabilizer.logical_phase_ops(sf)
+    fake[0] = sf.reassemble()[0]  # L_1 = G_1
+    monkeypatch.setattr(stabilizer, "logical_phase_ops", lambda _: fake)
+    assert verify_logical_algebra(sf).failures == ["L_1, N_1 commute"]
+    assert not reference_logical_algebra_ok(sf)
+
+
+def test_verify_logical_algebra_names_two_equal_logicals(eight_three, monkeypatch):
+    sf = to_standard_form(eight_three)
+    fake = stabilizer.logical_phase_ops(sf)
+    fake[0] = fake[1]  # L_1 = L_2
+    monkeypatch.setattr(stabilizer, "logical_phase_ops", lambda _: fake)
+    assert verify_logical_algebra(sf).failures == ["L_1, N_1 commute", "L_1, N_2 anticommute"]
+    assert not reference_logical_algebra_ok(sf)
+
+
+def test_verify_logical_algebra_names_anticommuting_logicals(eight_three, monkeypatch):
+    sf = to_standard_form(eight_three)
+    fake = stabilizer.logical_phase_ops(sf)
+    fake[0] ^= stabilizer.logical_bit_ops(sf)[1]  # L_1 + N_2 breaks only L_1, L_2
+    monkeypatch.setattr(stabilizer, "logical_phase_ops", lambda _: fake)
+    assert verify_logical_algebra(sf).failures == ["L_1, L_2 anticommute"]
+    assert not reference_logical_algebra_ok(sf)
+
+
 def test_quantum_distance_worked_example(eight_three):
     res = quantum_distance(eight_three)
     assert res.value == 3
@@ -373,10 +441,7 @@ def test_quantum_distance_brute_oracle():
         for v in range(1, 1 << (2 * n)):
             bits = np.array([(v >> i) & 1 for i in range(2 * n)], dtype=np.uint8)
             a, b = bits[:n], bits[n:]
-            if any(
-                (gf2.dot(a, row[n:]) ^ gf2.dot(row[:n], b))
-                for row in code.matrix
-            ):
+            if ((code.matrix[:, n:] @ a + code.matrix[:, :n] @ b) & 1).any():
                 continue
             if in_rowspan(red, bits):
                 continue

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from stab2lin import statevec
 from stab2lin.extraction import extract_classical
 from stab2lin.formats import load_stabilizer
-from stab2lin.pauli import PauliVector, parse_pauli, signed_row
+from stab2lin.pauli import parse_pauli, signed_row
 from stab2lin.stabilizer import (
     StabilizerCode,
     logical_phase_ops,
@@ -50,7 +50,7 @@ def test_apply_identity():
 
 
 def test_apply_y_convention():
-    out = apply_pauli(zero_state(1), PauliVector([1], [1]))
+    out = apply_pauli(zero_state(1), np.array([1, 1], np.uint8))
     assert np.allclose(out.amplitudes, [0.0, 1j])
 
 
@@ -68,7 +68,7 @@ def test_apply_twice_returns_original_up_to_phase():
         s = random_state(rng, n)
         for abits in product((0, 1), repeat=n):
             for bbits in product((0, 1), repeat=n):
-                p = PauliVector(np.array(abits, np.uint8), np.array(bbits, np.uint8))
+                p = np.array(abits + bbits, np.uint8)
                 twice = apply_pauli(apply_pauli(s, p), p).amplitudes
                 ratios = twice[np.abs(s.amplitudes) > 1e-12] / s.amplitudes[
                     np.abs(s.amplitudes) > 1e-12
@@ -84,9 +84,7 @@ def test_apply_preserves_norm():
     for _ in range(50):
         n = int(rng.integers(1, 5))
         s = random_state(rng, n)
-        p = PauliVector(
-            rng.integers(0, 2, n).astype(np.uint8), rng.integers(0, 2, n).astype(np.uint8)
-        )
+        p = rng.integers(0, 2, 2 * n).astype(np.uint8)
         assert abs(apply_pauli(s, p).norm - 1.0) < 1e-12
 
 
@@ -99,10 +97,8 @@ def test_build_c0_worked_example(sf8):
     state = build_C0(sf8)
     assert state.amplitudes.shape == (256,)
     assert abs(state.norm - 1.0) < 1e-12
-    gens = sf8.reassemble()
-    for i in range(sf8.m):
-        p = PauliVector(gens[i, :8], gens[i, 8:])
-        assert eigenvalue_sign(state, p) == 1
+    for row in sf8.reassemble():
+        assert eigenvalue_sign(state, row) == 1
 
 
 def test_build_c0_trivial_z():
@@ -144,17 +140,13 @@ def test_build_cx_states_are_stabilized(sf8):
     for mi in range(8):
         x = np.array([(mi >> 2) & 1, (mi >> 1) & 1, mi & 1], np.uint8)
         state = build_Cx(sf8, x)
-        for i in range(sf8.m):
-            p = PauliVector(gens[i, :8], gens[i, 8:])
-            assert eigenvalue_sign(state, p) == 1
+        for row in gens:
+            assert eigenvalue_sign(state, row) == 1
 
 
 def test_build_cx_eigenvalue_signature(sf8):
     state = build_Cx(sf8, np.array([1, 0, 0], np.uint8))
-    lops = logical_phase_ops(sf8)
-    signs = [
-        eigenvalue_sign(state, PauliVector(lops[i, :8], lops[i, 8:])) for i in range(3)
-    ]
+    signs = [eigenvalue_sign(state, row) for row in logical_phase_ops(sf8)]
     assert signs == [-1, 1, 1]
 
 
@@ -172,11 +164,7 @@ def test_phi_eigenspace_structure(sf8):
     # makes distinct y give orthogonal images.
     rng = np.random.default_rng(8)
     s, k = sf8.s, sf8.k
-    gens = sf8.reassemble()
-    lops = logical_phase_ops(sf8)
-    ops = [PauliVector(gens[i, :8], gens[i, 8:]) for i in range(s)] + [
-        PauliVector(lops[i, :8], lops[i, 8:]) for i in range(k)
-    ]
+    ops = np.vstack([sf8.reassemble()[:s], logical_phase_ops(sf8)])
     t = np.block(
         [
             [np.eye(s, dtype=np.uint8), sf8.a1],
@@ -195,11 +183,7 @@ def test_phi_eigenspace_plain_signature_on_s_block(sf8):
     # restricted to y supported on the first s coordinates (where the A1
     # coupling vanishes), the plain (-1)^{y_i} signature holds as stated
     rng = np.random.default_rng(18)
-    gens = sf8.reassemble()
-    lops = logical_phase_ops(sf8)
-    ops = [PauliVector(gens[i, :8], gens[i, 8:]) for i in range(sf8.s)] + [
-        PauliVector(lops[i, :8], lops[i, 8:]) for i in range(sf8.k)
-    ]
+    ops = np.vstack([sf8.reassemble()[: sf8.s], logical_phase_ops(sf8)])
     for _ in range(8):
         y = np.zeros(7, np.uint8)
         y[: sf8.s] = rng.integers(0, 2, sf8.s)
@@ -323,7 +307,7 @@ def test_verify_phi_checks_the_extracted_generator(monkeypatch):
 
 def _signed(text):
     sign, text = (2, text[1:]) if text.startswith("-") else (0, text)
-    x, z, p = signed_row(parse_pauli(text).to_bits())
+    x, z, p = signed_row(parse_pauli(text))
     return x, z, (p + sign) & 3
 
 

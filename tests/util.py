@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from stab2lin import gf2
+from stab2lin import gf2, stabilizer
 from stab2lin.lincode import GeneratorMatrix
+from stab2lin.pauli import symplectic_product_rows
 from stab2lin.stabilizer import (
     COLUMN_ADDITION,
     COLUMN_SWITCH,
@@ -17,6 +18,7 @@ from stab2lin.stabilizer import (
     ROW_ADDITION,
     ElementaryOp,
     StabilizerCode,
+    StandardForm,
     apply_ops,
     to_standard_form,
 )
@@ -74,6 +76,19 @@ def random_stabilizer_code(rng: np.random.Generator, n: int, m: int) -> Stabiliz
         else:  # pragma: no cover - astronomically unlikely
             raise RuntimeError("rejection sampling stalled")
     return StabilizerCode(np.array(rows, np.uint8), n)
+
+
+def random_r_zero_code(rng: np.random.Generator, n: int, m: int) -> StabilizerCode:
+    """A random valid code whose standard form has r = 0: X is a random
+    full-rank m x n matrix and Z = X S for a random symmetric S, so the rows
+    commute (X S X^T is symmetric) and only the empty sum is Z-type."""
+    while True:
+        x = random_bit_matrix(rng, m, n)
+        if gf2.rank(x) == m:
+            break
+    upper = np.triu(random_bit_matrix(rng, n, n))
+    z = gf2.mat_mul(x, upper ^ np.triu(upper, 1).T)
+    return StabilizerCode(np.hstack([x, z]), n)
 
 
 def rotated_surface_code(d: int) -> StabilizerCode:
@@ -163,6 +178,25 @@ def pauli_weight_rows(rows: np.ndarray) -> np.ndarray:
     rows = gf2.as_bits(rows, copy=False)
     n = rows.shape[1] // 2
     return np.count_nonzero(rows[:, :n] | rows[:, n:], axis=1)
+
+
+def reference_logical_algebra_ok(sf: StandardForm) -> bool:
+    """Reference for ``verify_logical_algebra``: G+L and G+N each commute
+    pairwise and have rank n, and N_i, L_j anticommute exactly when i = j,
+    checked set by set with ``gf2.rank``.  Reads the logical operators
+    through the ``stabilizer`` module, so a test may patch them."""
+    gens = sf.reassemble()
+    lops = stabilizer.logical_phase_ops(sf)
+    nops = stabilizer.logical_bit_ops(sf)
+    n = sf.n
+    gl = np.vstack([gens, lops])
+    gn = np.vstack([gens, nops])
+    commuting = not symplectic_product_rows(gl).any() and not symplectic_product_rows(gn).any()
+    independent = gf2.rank(gl) == n and gf2.rank(gn) == n
+    na, nb = nops[:, :n], nops[:, n:]
+    la, lb = lops[:, :n], lops[:, n:]
+    prods = gf2.mat_mul(na, lb.T) ^ gf2.mat_mul(nb, la.T)
+    return commuting and independent and np.array_equal(prods, np.eye(sf.k, dtype=np.uint8))
 
 
 def bfs_ensure_r(code: StabilizerCode, max_depth: int):
