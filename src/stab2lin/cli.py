@@ -141,7 +141,6 @@ def standardize(file, ensure_r, out, as_json):
     """Reduce a stabilizer file to standard form."""
     sf, result = _standardized(file, ensure_r)
     ops = result.ops if result else []
-    std_code = sf.code()
     perm = [int(p) + 1 for p in sf.qubit_permutation]
     if as_json:
         _emit_json(
@@ -150,7 +149,7 @@ def standardize(file, ensure_r, out, as_json):
                 "k": sf.k,
                 "r": sf.r,
                 "qubit_permutation": perm,
-                "generators": std_code.pauli_strings(),
+                "generators": sf.pauli_strings(),
                 **_ensure_r_json(result),
                 "trace_length": len(sf.op_trace),
             }
@@ -167,7 +166,7 @@ def standardize(file, ensure_r, out, as_json):
         )
     if result and not result.minimal:
         comments.append("ensure-r ops not proven minimal (subset search capped)")
-    _write_out(write_stabilizer_text(std_code, comments), out)
+    _write_out(write_stabilizer_text(sf, comments), out)
 
 
 @main.command()

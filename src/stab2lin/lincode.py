@@ -1,5 +1,5 @@
-"""Classical binary linear codes: encoding, brute-force distance,
-nearest-codeword decoding, and binary-symmetric-channel performance.
+"""Classical binary linear codes: codeword tables, the brute-force distance,
+coset leaders, and binary-symmetric-channel performance.
 
 Decoding is complete nearest-codeword decoding (not bounded-distance), with
 ties broken toward the lexicographically smallest message.  By linearity the
@@ -63,18 +63,6 @@ class GeneratorMatrix:
         return self.rows.shape[1]
 
 
-def encode(g: GeneratorMatrix, x: np.ndarray) -> np.ndarray:
-    """The linear combination of generator rows selected by the message bits."""
-    x = gf2.as_bits(x)
-    if x.shape != (g.k,):
-        raise ValueError(f"message length {x.shape} != k = {g.k}")
-    return gf2.mat_mul(x[None, :], g.rows)[0]
-
-
-def _message_of_index(idx: int, k: int) -> np.ndarray:
-    return np.array([(idx >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.uint8)
-
-
 def codeword_table(g: GeneratorMatrix) -> np.ndarray:
     """All 2^k codewords as packed uint64 words, indexed by big-endian message.
 
@@ -104,29 +92,6 @@ def min_distance(g: GeneratorMatrix) -> MinDistanceResult:
     return MinDistanceResult(
         distance=nonzero[0],
         weight_enumerator={w: int(hist[w]) for w in range(g.n + 1) if hist[w]},
-    )
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    message: np.ndarray
-    codeword: np.ndarray
-    distance: int
-
-
-def decode_nearest(g: GeneratorMatrix, word: np.ndarray) -> DecodeResult:
-    """Nearest codeword to ``word``; ties go to the smallest message."""
-    word = gf2.as_bits(word)
-    if word.shape != (g.n,):
-        raise ValueError(f"word length {word.shape} != n = {g.n}")
-    table = codeword_table(g)
-    packed = gf2.pack_rows(word)[0]
-    dist = np.bitwise_count(table ^ packed[None, :]).sum(axis=1, dtype=np.int64)
-    best = int(dist.argmin())
-    return DecodeResult(
-        message=_message_of_index(best, g.k),
-        codeword=gf2.unpack_rows(table[best], g.n)[0],
-        distance=int(dist[best]),
     )
 
 

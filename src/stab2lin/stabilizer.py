@@ -31,7 +31,7 @@ COLUMN_ADDITION = "column-addition"
 
 
 class StandardFormError(RuntimeError):
-    """The D-block obstruction: r2 > 0 on input claimed valid."""
+    """The reduction missed the block shape, which no valid code can cause."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class StabilizerCode:
 
     def __post_init__(self):
         mat = gf2.as_bits(self.matrix).reshape(-1, 2 * self.n)
+        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
@@ -139,53 +140,44 @@ def apply_ops(code: StabilizerCode, ops) -> StabilizerCode:
     return StabilizerCode(mat, code.n)
 
 
+def _block(rows: int, half: int, group: int) -> property:
+    """A read-only view of one block of a standard form's matrix: the first s
+    rows (``rows`` 0) or the last r (1), the X half (``half`` 0) or the Z half
+    (1), and the qubits [0, s), [s, n - r) or [n - r, n) (``group`` 0, 1, 2)."""
+
+    def view(sf: StandardForm) -> np.ndarray:
+        edges = (0, sf.s, sf.n - sf.r, sf.n)
+        cols = slice(half * sf.n + edges[group], half * sf.n + edges[group + 1])
+        return sf.matrix[: sf.s, cols] if rows == 0 else sf.matrix[sf.s :, cols]
+
+    return property(view)
+
+
 @dataclass(frozen=True)
-class StandardForm:
-    """Block structure of a standardized generator matrix.
+class StandardForm(StabilizerCode):
+    """A stabilizer code whose matrix has the standard block shape; the
+    blocks ``a1`` ... ``c2`` are views of ``matrix``.
 
     ``qubit_permutation[p]`` is the original qubit position now at
     standardized position ``p``.  Replaying ``op_trace`` against the original
-    matrix reproduces ``reassemble()`` bit-exactly.
+    matrix reproduces ``matrix`` bit-exactly.
     """
 
     s: int
-    k: int
-    r: int
-    a1: np.ndarray
-    a2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    b3: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
     qubit_permutation: np.ndarray
     op_trace: list[ElementaryOp] = field(repr=False)
 
     @property
-    def n(self) -> int:
-        return self.s + self.k + self.r
+    def r(self) -> int:
+        return self.m - self.s
 
-    @property
-    def m(self) -> int:
-        return self.s + self.r
-
-    def reassemble(self) -> np.ndarray:
-        """The standardized m x 2n generator matrix."""
-        s, k, r, n = self.s, self.k, self.r, self.n
-        mat = np.zeros((self.m, 2 * n), dtype=np.uint8)
-        mat[:s, :s] = np.eye(s, dtype=np.uint8)
-        mat[:s, s : s + k] = self.a1
-        mat[:s, s + k : n] = self.a2
-        mat[:s, n : n + s] = self.b1
-        mat[:s, n + s : n + s + k] = self.b2
-        mat[:s, n + s + k :] = self.b3
-        mat[s:, n : n + s] = self.c1
-        mat[s:, n + s : n + s + k] = self.c2
-        mat[s:, n + s + k :] = np.eye(r, dtype=np.uint8)
-        return mat
-
-    def code(self) -> StabilizerCode:
-        return StabilizerCode(self.reassemble(), self.n)
+    a1 = _block(0, 0, 1)
+    a2 = _block(0, 0, 2)
+    b1 = _block(0, 1, 0)
+    b2 = _block(0, 1, 1)
+    b3 = _block(0, 1, 2)
+    c1 = _block(1, 1, 0)
+    c2 = _block(1, 1, 1)
 
 
 def _transpose_columns(work, trace, perm, i, j, n):
@@ -201,7 +193,6 @@ def to_standard_form(code: StabilizerCode) -> StandardForm:
     if not report.ok:
         raise ValueError(f"input is not a valid stabilizer code: {report}")
     n, m = code.n, code.m
-    k = n - m
     perm = np.arange(n)
 
     # Stage 1: eliminate the X submatrix, then move pivot columns to the front.
@@ -239,23 +230,13 @@ def to_standard_form(code: StabilizerCode) -> StandardForm:
                 break
         cur[i] = tgt
 
-    sf = StandardForm(
-        s=s,
-        k=k,
-        r=r,
-        a1=work[:s, s : s + k].copy(),
-        a2=work[:s, s + k : n].copy(),
-        b1=work[:s, n : n + s].copy(),
-        b2=work[:s, n + s : n + s + k].copy(),
-        b3=work[:s, n + s + k :].copy(),
-        c1=work[s:, n : n + s].copy(),
-        c2=work[s:, n + s : n + s + k].copy(),
-        qubit_permutation=perm,
-        op_trace=trace,
-    )
-    if not np.array_equal(sf.reassemble(), work):
-        raise StandardFormError("reassembled blocks disagree with the reduction")
-    return sf
+    if not (
+        np.array_equal(work[:s, :s], np.eye(s))
+        and not work[s:, :n].any()
+        and np.array_equal(work[s:, 2 * n - r :], np.eye(r))
+    ):
+        raise StandardFormError("the reduction left I_s, the zero X part or I_r out of place")
+    return StandardForm(work, n, s, perm, trace)
 
 
 # ensure_positive_r stops before the first subset size j whose C(m, j)
@@ -278,10 +259,6 @@ class EnsureRResult:
     ops: list[ElementaryOp]
     standard_form: StandardForm
     minimal: bool = True
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.ops)
 
 
 def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
@@ -306,10 +283,9 @@ def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
         return EnsureRResult(code, [], sf)
     n, m = code.n, code.m
     # the standardized generators as X and Z bitmasks over original qubits
-    std = sf.reassemble()
     at = np.argsort(sf.qubit_permutation)  # standardized position of each qubit
-    xs = gf2.to_ints(std[:, :n][:, at])
-    zs = gf2.to_ints(std[:, n:][:, at])
+    xs = gf2.to_ints(sf.matrix[:, :n][:, at])
+    zs = gf2.to_ints(sf.matrix[:, n:][:, at])
     best = None
     minimal = True
     for j in range(1, m + 1):
@@ -379,10 +355,15 @@ def verify_logical_algebra(sf: StandardForm) -> LogicalAlgebraReport:
     by its I_s and I_r blocks.  If sum a_i G_i + sum b_j L_j = 0, pairing the
     sum with N_l leaves b_l = 0, so every b_j and then every a_i is 0; pairing
     with L_l does the same for G+N.
+
+    L and N are built from the blocks of G, so on a standard form every block
+    of the pattern other than G-G holds for any block values: only a pair of
+    generators, or a wrong ``logical_phase_ops`` or ``logical_bit_ops``, can
+    fail.
     """
     m, k = sf.m, sf.k
     gram = symplectic_product_rows(
-        np.vstack([sf.reassemble(), logical_phase_ops(sf), logical_bit_ops(sf)])
+        np.vstack([sf.matrix, logical_phase_ops(sf), logical_bit_ops(sf)])
     )
     expected = np.zeros_like(gram)
     expected[m : m + k, m + k :] = expected[m + k :, m : m + k] = np.eye(k, dtype=np.uint8)

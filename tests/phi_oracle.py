@@ -11,14 +11,14 @@ Under it, (1|1) acts as the standard sigma_y and every operator squares to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from stab2lin import gf2
 from stab2lin.extraction import extract_classical
 from stab2lin.stabilizer import StandardForm, logical_bit_ops, logical_phase_ops
-from stab2lin.statevec import COLLAPSED, PhiReport
+from stab2lin.statevec import COLLAPSED
 
 DEFAULT_STATE_CAP = 12
 TOL = 1e-9
@@ -40,6 +40,29 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+
+@dataclass(frozen=True)
+class DensePhiReport:
+    """The three verdicts of the dense check plus what it measures: whether
+    the error correspondence also holds without a phase, the largest
+    amplitude deviation with and without that phase, and the images and
+    (word, error) pairs compared."""
+
+    bijectivity_ok: bool
+    codeword_property_ok: bool
+    error_property_ok: bool
+    error_property_exact_ok: bool
+    max_deviation: float
+    max_deviation_exact: float
+    images_checked: int
+    pairs_checked: int
+    exhaustive: bool
+    counterexamples: list[str] = field(default_factory=list)
+
+    @property
+    def all_ok(self) -> bool:
+        return self.bijectivity_ok and self.codeword_property_ok and self.error_property_ok
 
 
 def zero_state(n: int) -> StateVector:
@@ -86,7 +109,7 @@ def build_C0(sf: StandardForm, cap: int = DEFAULT_STATE_CAP) -> StateVector:
     if n > cap:
         raise ValueError(f"n = {n} exceeds the statevector cap {cap}")
     amps = zero_state(n).amplitudes
-    for row in np.vstack([sf.reassemble()[: sf.s], logical_phase_ops(sf)]):
+    for row in np.vstack([sf.matrix[: sf.s], logical_phase_ops(sf)]):
         amps = amps + apply_pauli(StateVector(n, amps), row).amplitudes
     amps = amps / np.sqrt(2.0 ** (sf.s + sf.k))
     state = StateVector(n, amps)
@@ -116,7 +139,7 @@ def phi(sf: StandardForm, y: np.ndarray, cap: int = DEFAULT_STATE_CAP) -> StateV
 
 
 
-def dense_verify_phi(sf: StandardForm, tol: float = TOL) -> PhiReport:
+def dense_verify_phi(sf: StandardForm, tol: float = TOL) -> DensePhiReport:
     """Check all three claims on 2^n amplitudes, exhaustively, with C_0
     built once.  Raises the same RuntimeError as ``build_C0`` on collapse."""
     n, nr, k = sf.n, sf.n - sf.r, sf.k
@@ -137,7 +160,7 @@ def dense_verify_phi(sf: StandardForm, tol: float = TOL) -> PhiReport:
     # 2. codeword correspondence: phi(x.M) = N^x C_0, in the +1 eigenspace of
     #    every generator, for all 2^k messages
     cw_ok = True
-    gens = sf.reassemble()
+    gens = sf.matrix
     if k:
         gen = extract_classical(sf).generator
         n_rows = logical_bit_ops(sf)
@@ -176,7 +199,7 @@ def dense_verify_phi(sf: StandardForm, tol: float = TOL) -> PhiReport:
             err_ok = False
             counterexamples.append(f"error pattern e={int(e)}: deviation {phase_dev:.3g}")
 
-    return PhiReport(
+    return DensePhiReport(
         bijectivity_ok=bij_ok,
         codeword_property_ok=cw_ok,
         error_property_ok=err_ok,

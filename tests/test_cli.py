@@ -356,9 +356,12 @@ def test_verify_phi_passes():
 
 def test_verify_phi_json():
     res = run("verify-phi", data_path("eight_three.stab"), "--json")
-    payload = json.loads(res.stdout)
-    assert payload["exhaustive"] and payload["images_checked"] == 128
-    assert payload["max_deviation"] < 1e-9
+    assert json.loads(res.stdout) == {
+        "bijectivity_ok": True,
+        "codeword_property_ok": True,
+        "error_property_ok": True,
+        "counterexamples": [],
+    }
 
 
 def test_verify_phi_mutated_fixture_fails_with_counterexample():
@@ -423,7 +426,8 @@ def test_commands_deterministic_byte_identical():
 
 
 def test_pipeline_reproduces_shipped_summary_table(tmp_path):
-    shipped = open(data_path("corpus_summary.csv")).read().strip().splitlines()
+    with open(data_path("corpus_summary.csv")) as f:
+        shipped = f.read().strip().splitlines()
     header = shipped[0].split(",")
     for line in shipped[1:]:
         row = dict(zip(header, line.split(",")))

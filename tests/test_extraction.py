@@ -10,24 +10,13 @@ from util import data_path, random_stabilizer_code
 
 
 def _synthetic_sf(s, k, r, a1=None):
-    """Standard form with prescribed A1 and zero B/C blocks (valid: X-type and
-    Z-type rows on disjoint structure always commute when B1 is symmetric-free
-    ... kept zero here)."""
+    """Standard form with prescribed A1 and every other free block zero."""
     a1 = np.zeros((s, k), np.uint8) if a1 is None else np.asarray(a1, np.uint8)
-    return StandardForm(
-        s=s,
-        k=k,
-        r=r,
-        a1=a1,
-        a2=np.zeros((s, r), np.uint8),
-        b1=np.zeros((s, s), np.uint8),
-        b2=np.zeros((s, k), np.uint8),
-        b3=np.zeros((s, r), np.uint8),
-        c1=np.zeros((r, s), np.uint8),
-        c2=np.zeros((r, k), np.uint8),
-        qubit_permutation=np.arange(s + k + r),
-        op_trace=[],
-    )
+    matrix = np.block([
+        [np.eye(s), a1, np.zeros((s, r + s + k + r))],
+        [np.zeros((r, s + k + r + s + k)), np.eye(r)],
+    ])
+    return StandardForm(matrix, s + k + r, s, np.arange(s + k + r), [])
 
 
 def test_extract_worked_example():

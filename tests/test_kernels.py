@@ -15,11 +15,16 @@ from stab2lin.lincode import (
     GeneratorMatrix,
     codeword_table,
     coset_leaders,
-    decode_nearest,
-    encode,
 )
 
-from util import data_path, in_rowspan, pauli_weight_rows, random_stabilizer_code
+from util import (
+    data_path,
+    decode_nearest,
+    encode,
+    in_rowspan,
+    pauli_weight_rows,
+    random_stabilizer_code,
+)
 
 MASK64 = (1 << 64) - 1
 

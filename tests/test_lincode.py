@@ -16,12 +16,10 @@ from stab2lin.lincode import (
     codeword_table,
     correctable_weight_histogram,
     coset_leaders,
-    decode_nearest,
-    encode,
     min_distance,
 )
 
-from util import data_path, random_code
+from util import data_path, decode_nearest, encode, random_code
 
 
 @pytest.fixture(scope="module")

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stab2lin import bounds, gf2
-from stab2lin.lincode import GeneratorMatrix, encode
+from stab2lin.lincode import GeneratorMatrix
 from stab2lin.pauli import symplectic_product_rows
 from stab2lin.stabilizer import apply_ops, quantum_distance, to_standard_form, validate
 
 from phi_oracle import StateVector, apply_pauli
-from util import random_elementary_op, random_stabilizer_code, replay_row_ops
+from util import encode, random_elementary_op, random_stabilizer_code, replay_row_ops
 
 @given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from stab2lin import _kernels, gf2, stabilizer
 from stab2lin.formats import load_stabilizer
+from stab2lin.pauli import symplectic_product_rows
 from stab2lin.stabilizer import (
     COLUMN_ADDITION,
     COLUMN_SWITCH,
     ElementaryOp,
     StabilizerCode,
+    StandardForm,
     StandardFormError,
     apply_op,
     apply_ops,
@@ -27,8 +29,11 @@ from stab2lin.stabilizer import (
 )
 
 from util import (
+    BLOCKS,
+    DATA,
     bfs_ensure_r,
     data_path,
+    flip_block_bit,
     in_rowspan,
     pauli_weight_rows,
     random_elementary_op,
@@ -36,6 +41,7 @@ from util import (
     random_stabilizer_code,
     reference_logical_algebra_ok,
     rotated_surface_code,
+    writable_blocks,
 )
 
 
@@ -79,18 +85,18 @@ def test_standard_form_trace_replay(eight_three):
     replayed = eight_three.matrix
     for op in sf.op_trace:
         replayed = apply_op(replayed, op, eight_three.n)
-    assert np.array_equal(replayed, sf.reassemble())
+    assert np.array_equal(replayed, sf.matrix)
 
 
 def test_standard_form_preserves_validity_and_span(eight_three):
     sf = to_standard_form(eight_three)
-    assert validate(sf.code()).ok
+    assert validate(sf).ok
     # row span is preserved up to the column permutation
     permuted = eight_three.matrix.copy()
     perm = sf.qubit_permutation
     n = eight_three.n
     permuted = permuted[:, list(perm) + [n + p for p in perm]]
-    combined = np.vstack([permuted, sf.reassemble()])
+    combined = np.vstack([permuted, sf.matrix])
     assert gf2.rank(combined) == gf2.rank(permuted) == eight_three.m
 
 
@@ -98,7 +104,7 @@ def test_standard_form_all_z_generators():
     code = StabilizerCode.from_paulis(["ZII", "IZI", "IIZ"])
     sf = to_standard_form(code)
     assert (sf.s, sf.k, sf.r) == (0, 0, 3)
-    assert not sf.reassemble()[:, :3].any()
+    assert not sf.matrix[:, :3].any()
 
 
 def test_standard_form_xx_zz():
@@ -121,22 +127,22 @@ def test_standard_form_parameters_on_random_codes():
         assert sf.s + sf.r == m
         assert sf.s + sf.k + sf.r == n
         assert sf.s == gf2.rank(code.matrix[:, :n])
-        assert validate(sf.code()).ok
+        assert validate(sf).ok
         replayed = code.matrix
         for op in sf.op_trace:
             replayed = apply_op(replayed, op, n)
-        assert np.array_equal(replayed, sf.reassemble())
+        assert np.array_equal(replayed, sf.matrix)
 
 
 def test_ensure_positive_r_already_satisfied(eight_three):
     res = ensure_positive_r(eight_three)
-    assert not res.changed
+    assert not res.ops
     assert res.code is eight_three
 
 
 def test_ensure_positive_r_single_x():
     res = ensure_positive_r(StabilizerCode.from_paulis(["X"]))
-    assert res.changed
+    assert res.ops
     assert res.code.pauli_strings() == ["Z"]
     sf = to_standard_form(res.code)
     assert (sf.s, sf.r) == (0, 1)
@@ -248,24 +254,15 @@ def test_logical_ops_k_zero():
 def test_logical_ops_zero_blocks_give_zero_d():
     # B2 = 0 and C2 = 0 force D = 0: the L rows carry no Z support on the
     # first s columns (pure formula check on prescribed blocks)
-    from stab2lin.stabilizer import StandardForm
-
     s, k, r = 2, 3, 1
     rng = np.random.default_rng(0)
-    sf = StandardForm(
-        s=s,
-        k=k,
-        r=r,
-        a1=rng.integers(0, 2, (s, k)).astype(np.uint8),
-        a2=rng.integers(0, 2, (s, r)).astype(np.uint8),
-        b1=rng.integers(0, 2, (s, s)).astype(np.uint8),
-        b2=np.zeros((s, k), np.uint8),
-        b3=rng.integers(0, 2, (s, r)).astype(np.uint8),
-        c1=rng.integers(0, 2, (r, s)).astype(np.uint8),
-        c2=np.zeros((r, k), np.uint8),
-        qubit_permutation=np.arange(s + k + r),
-        op_trace=[],
-    )
+    a1, a2, b1 = (rng.integers(0, 2, shape) for shape in ((s, k), (s, r), (s, s)))
+    b3, c1 = (rng.integers(0, 2, shape) for shape in ((s, r), (r, s)))
+    matrix = np.block([
+        [np.eye(s), a1, a2, b1, np.zeros((s, k)), b3],
+        [np.zeros((r, s + k + r)), c1, np.zeros((r, k)), np.eye(r)],
+    ])
+    sf = StandardForm(matrix, s + k + r, s, np.arange(s + k + r), [])
     lops = logical_phase_ops(sf)
     assert not lops[:, sf.n : sf.n + s].any()
 
@@ -291,15 +288,11 @@ def test_verify_logical_algebra_random_codes():
 
 
 def test_verify_logical_algebra_detects_corruption(eight_three):
-    sf = to_standard_form(eight_three)
-    a1 = sf.a1.copy()
-    a1[0, 0] ^= 1
-    corrupted = dataclasses.replace(sf, a1=a1)
+    corrupted = flip_block_bit(to_standard_form(eight_three), "a1", 0, 0)
     rep = verify_logical_algebra(corrupted)
     assert not rep.ok
 
 
-BLOCKS = ("a1", "a2", "b1", "b2", "b3", "c1", "c2")
 LOGICALS = ("logical_phase_ops", "logical_bit_ops")
 
 
@@ -330,17 +323,64 @@ def test_verify_logical_algebra_matches_rank_reference(nm, r_zero, seed, flips):
                 arrays[name].flat[pos % arrays[name].size] ^= 1
         return arrays
 
-    sf = dataclasses.replace(sf, **flip({name: getattr(sf, name).copy() for name in BLOCKS}))
+    matrix, blocks = writable_blocks(sf)
+    flip(blocks)
+    sf = dataclasses.replace(sf, matrix=matrix)
     ops = flip({name: getattr(stabilizer, name)(sf) for name in LOGICALS})
     with mock.patch.object(stabilizer, "logical_phase_ops", lambda _: ops["logical_phase_ops"]), \
             mock.patch.object(stabilizer, "logical_bit_ops", lambda _: ops["logical_bit_ops"]):
         assert verify_logical_algebra(sf).ok == reference_logical_algebra_ok(sf)
 
 
+@given(
+    st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**32 - 1),
+)
+@example((4, 4), 0)  # k = 0
+@example((5, 2), 1)
+@settings(max_examples=200, deadline=None)
+def test_logical_algebra_holds_outside_gg_for_any_blocks(nm, seed):
+    # a standard form with arbitrary blocks, valid or not: L and N are built
+    # from its blocks, so only the G-G block of the Gram matrix can be wrong
+    n, m = nm
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(0, m + 1))
+    r, k = m - s, n - m
+    matrix = rng.integers(0, 2, (m, 2 * n)).astype(np.uint8)
+    matrix[:s, :s] = np.eye(s, dtype=np.uint8)
+    matrix[s:, :n] = 0
+    matrix[s:, 2 * n - r :] = np.eye(r, dtype=np.uint8)
+    sf = StandardForm(matrix, n, s, np.arange(n), [])
+    stack = np.vstack([sf.matrix, logical_phase_ops(sf), logical_bit_ops(sf)])
+    gram = symplectic_product_rows(stack)
+    expected = np.zeros_like(gram)
+    expected[m : m + k, m + k :] = expected[m + k :, m : m + k] = np.eye(k, dtype=np.uint8)
+    wrong = gram ^ expected
+    assert not wrong[m:].any() and not wrong[:, m:].any()
+
+
+def test_standard_form_is_a_read_only_stabilizer_code():
+    assert to_standard_form(load_stabilizer(DATA / "eight_three.stab")).a1.size
+    for path in sorted(DATA.glob("*.stab")):
+        code = load_stabilizer(path)
+        if not validate(code).ok:
+            continue
+        sf = to_standard_form(code)
+        assert isinstance(sf, StabilizerCode), path.name
+        assert validate(sf).ok, path.name
+        assert quantum_distance(sf).value == quantum_distance(code).value, path.name
+        for name in BLOCKS:
+            block = getattr(sf, name)
+            assert not block.size or np.shares_memory(block, sf.matrix), (path.name, name)
+        for matrix in (sf.matrix, code.matrix):
+            with pytest.raises(ValueError):
+                matrix[0, 0] ^= 1
+
+
 def test_verify_logical_algebra_names_a_logical_equal_to_a_generator(eight_three, monkeypatch):
     sf = to_standard_form(eight_three)
     fake = stabilizer.logical_phase_ops(sf)
-    fake[0] = sf.reassemble()[0]  # L_1 = G_1
+    fake[0] = sf.matrix[0]  # L_1 = G_1
     monkeypatch.setattr(stabilizer, "logical_phase_ops", lambda _: fake)
     assert verify_logical_algebra(sf).failures == ["L_1, N_1 commute"]
     assert not reference_logical_algebra_ok(sf)

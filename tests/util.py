@@ -3,13 +3,16 @@ references."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from stab2lin import gf2, stabilizer
-from stab2lin.lincode import GeneratorMatrix
+from stab2lin.lincode import GeneratorMatrix, codeword_table
 from stab2lin.pauli import symplectic_product_rows
 from stab2lin.stabilizer import (
     COLUMN_ADDITION,
@@ -24,6 +27,7 @@ from stab2lin.stabilizer import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "stab2lin" / "data"
+BLOCKS = ("a1", "a2", "b1", "b2", "b3", "c1", "c2")
 
 
 def data_path(name: str) -> str:
@@ -51,6 +55,58 @@ def random_code(n, k, seed, zero_col, repeat_col):
         if i != j:
             rows[i] ^= rows[j]
     return GeneratorMatrix(rows[:, rng.permutation(n)])
+
+
+def encode(g: GeneratorMatrix, x: np.ndarray) -> np.ndarray:
+    """The linear combination of generator rows selected by the message bits."""
+    x = gf2.as_bits(x)
+    if x.shape != (g.k,):
+        raise ValueError(f"message length {x.shape} != k = {g.k}")
+    return gf2.mat_mul(x[None, :], g.rows)[0]
+
+
+def _message_of_index(idx: int, k: int) -> np.ndarray:
+    return np.array([(idx >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.uint8)
+
+
+@dataclass(frozen=True)
+class DecodeResult:
+    message: np.ndarray
+    codeword: np.ndarray
+    distance: int
+
+
+def decode_nearest(g: GeneratorMatrix, word: np.ndarray) -> DecodeResult:
+    """Nearest codeword to ``word``; ties go to the smallest message."""
+    word = gf2.as_bits(word)
+    if word.shape != (g.n,):
+        raise ValueError(f"word length {word.shape} != n = {g.n}")
+    table = codeword_table(g)
+    packed = gf2.pack_rows(word)[0]
+    dist = np.bitwise_count(table ^ packed[None, :]).sum(axis=1, dtype=np.int64)
+    best = int(dist.argmin())
+    return DecodeResult(
+        message=_message_of_index(best, g.k),
+        codeword=gf2.unpack_rows(table[best], g.n)[0],
+        distance=int(dist[best]),
+    )
+
+
+def writable_blocks(sf: StandardForm) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """A writable copy of ``sf.matrix`` and each block in ``BLOCKS`` as a view
+    of that copy, so writing a block edits the copy in place; pass the copy
+    back with ``dataclasses.replace(sf, matrix=...)``."""
+    mat = sf.matrix.copy()
+    shadow = copy.copy(sf)
+    object.__setattr__(shadow, "matrix", mat)
+    return mat, {name: getattr(shadow, name) for name in BLOCKS}
+
+
+def flip_block_bit(sf: StandardForm, name: str, i: int, j: int) -> StandardForm:
+    """``sf`` with bit (i, j) of block ``name`` flipped."""
+    mat, blocks = writable_blocks(sf)
+    blocks[name][i, j] ^= 1
+    return dataclasses.replace(sf, matrix=mat)
 
 
 def random_stabilizer_code(rng: np.random.Generator, n: int, m: int) -> StabilizerCode:
@@ -185,7 +241,7 @@ def reference_logical_algebra_ok(sf: StandardForm) -> bool:
     pairwise and have rank n, and N_i, L_j anticommute exactly when i = j,
     checked set by set with ``gf2.rank``.  Reads the logical operators
     through the ``stabilizer`` module, so a test may patch them."""
-    gens = sf.reassemble()
+    gens = sf.matrix
     lops = stabilizer.logical_phase_ops(sf)
     nops = stabilizer.logical_bit_ops(sf)
     n = sf.n
