@@ -30,13 +30,16 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 output mix of a uint64 array, in place."""
-    z ^= z >> np.uint64(30)
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 output mix of a uint64 array, in place; ``tmp`` is
+    scratch space of z's shape."""
+    if tmp is None:
+        tmp = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -239,19 +242,27 @@ def _trial_errors(n: int, delta: float, start: int, stop: int, seed: int) -> np.
     and z is splitmix64 of (i * n + j + 1) * golden + seed.  It is a pure
     function of (seed, i * n + j), so any split of the trials into ranges
     draws the same flips.  The draws are made about ``_STREAM_BLOCK`` at a
-    time and packed little-endian (``np.packbits``) straight into the rows.
+    time, in reused buffers, and each block is packed little-endian by one
+    ``np.packbits`` over rows padded to whole bytes.
     """
+    nbytes = -(-n // 8)
     out = np.zeros((stop - start, 8 * -(-n // 64)), dtype=np.uint8)
     # z >> 11 < 2^53, and delta * 2^53 <= 2^52 is exact, so u < delta holds
     # iff z >> 11 < ceil(delta * 2^53), i.e. iff z < ceil(delta * 2^53) << 11
     limit = np.uint64(ceil(delta * 2**53) << 11)
     step = max(1, _STREAM_BLOCK // n)
     ramp = np.arange(1, step * n + 1, dtype=np.uint64) * _GOLDEN  # (i*n + j + 1) * golden
+    z, tmp = np.empty_like(ramp), np.empty_like(ramp)
+    # whole bytes per row, so one flat packbits packs every row; the pad
+    # columns are never written and stay False
+    flips = np.zeros((step, 8 * nbytes), dtype=bool)
     for lo in range(0, stop - start, step):
-        hi = min(stop - start, lo + step)
-        z = ramp[: (hi - lo) * n] + np.uint64(((start + lo) * n * int(_GOLDEN) + seed) % 2**64)
-        flips = (_mix64(z) < limit).reshape(hi - lo, n)
-        out[lo:hi, : -(-n // 8)] = np.packbits(flips, axis=1, bitorder="little")
+        rows = min(stop - start, lo + step) - lo
+        offset = np.uint64(((start + lo) * n * int(_GOLDEN) + seed) % 2**64)
+        zs = _mix64(np.add(ramp[: rows * n], offset, out=z[: rows * n]), tmp[: rows * n])
+        np.less(zs.reshape(rows, n), limit, out=flips[:rows, :n])
+        packed = np.packbits(flips[:rows], bitorder="little")
+        out[lo : lo + rows, :nbytes] = packed.reshape(rows, nbytes)
     return out.view("<u8")
 
 

@@ -49,9 +49,13 @@ class ElementaryOp:
     indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilizerCode:
-    """m independent, pairwise-commuting generators on n qubits."""
+    """m independent, pairwise-commuting generators on n qubits.
+
+    Two codes of the same class are equal when they have the same n and the
+    same matrix; the matrix is read-only, so its bytes hash stably.
+    """
 
     matrix: np.ndarray
     n: int
@@ -60,6 +64,14 @@ class StabilizerCode:
         mat = gf2.as_bits(self.matrix).reshape(-1, 2 * self.n)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        return hash((self.n, self.matrix.tobytes()))
 
     @classmethod
     def from_paulis(cls, paulis: list[str]) -> "StabilizerCode":
@@ -153,19 +165,28 @@ def _block(rows: int, half: int, group: int) -> property:
     return property(view)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardForm(StabilizerCode):
     """A stabilizer code whose matrix has the standard block shape; the
     blocks ``a1`` ... ``c2`` are views of ``matrix``.
 
     ``qubit_permutation[p]`` is the original qubit position now at
-    standardized position ``p``.  Replaying ``op_trace`` against the original
-    matrix reproduces ``matrix`` bit-exactly.
+    standardized position ``p``; like ``matrix`` it is read-only.  Replaying
+    ``op_trace`` against the original matrix reproduces ``matrix``
+    bit-exactly.  Equality and hashing are those of the code: the
+    permutation and the trace, which record how it was reached, are not
+    compared.
     """
 
     s: int
     qubit_permutation: np.ndarray
     op_trace: list[ElementaryOp] = field(repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        perm = np.array(self.qubit_permutation)
+        perm.flags.writeable = False
+        object.__setattr__(self, "qubit_permutation", perm)
 
     @property
     def r(self) -> int:

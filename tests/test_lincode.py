@@ -379,6 +379,13 @@ def test_histogram_matches_decode_classification(g):
 
 
 @with_edge_codes()
+@example(random_code(7, 6, 4, False, False))  # n - k = 1: the grid's low half is empty
+@example(random_code(14, 5, 5, True, False))  # odd n - k = 9
+# the largest k that 2^k <= 20n sends to the grid at n = 16, where counts up
+# to 2^8 no longer fit in 8 bits: eight disjoint pairs, where e with one bit
+# in every pair is at distance 8 from all 256 codewords, and a random code
+@example(GeneratorMatrix(np.kron(np.eye(8, dtype=np.uint8), np.ones((1, 2), np.uint8))))
+@example(random_code(16, 8, 6, False, True))
 @given(codes())
 @settings(max_examples=60, deadline=None)
 def test_coset_leader_fills_match_pattern_sweep(g):
@@ -388,6 +395,7 @@ def test_coset_leader_fills_match_pattern_sweep(g):
     by_search = lincode._leaders_by_search(table.syndrome_cols, g.n, nk)
     by_codewords = lincode._leaders_by_codewords(codeword_table(g), table.syndrome_cols, g.n, nk)
     for got_w, got_c in ((table.min_weight, table.count), by_search, by_codewords):
+        assert got_w.dtype == np.int8 and got_c.dtype == np.int64
         assert np.array_equal(got_w, minw)
         assert np.array_equal(got_c, count)
 

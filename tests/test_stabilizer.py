@@ -375,6 +375,24 @@ def test_standard_form_is_a_read_only_stabilizer_code():
         for matrix in (sf.matrix, code.matrix):
             with pytest.raises(ValueError):
                 matrix[0, 0] ^= 1
+        with pytest.raises(ValueError):
+            sf.qubit_permutation[0] = sf.qubit_permutation[-1]
+
+
+def test_codes_compare_and_hash_by_n_and_matrix(eight_three):
+    xx_zz = StabilizerCode.from_paulis(["XX", "ZZ"])
+    same = StabilizerCode.from_paulis(["XX", "ZZ"])
+    assert xx_zz == same and hash(xx_zz) == hash(same) and len({xx_zz, same}) == 1
+    assert xx_zz != StabilizerCode.from_paulis(["ZZ", "XX"])
+    assert xx_zz != StabilizerCode(xx_zz.matrix, 4)  # same bytes, one 4-qubit row
+    sf = to_standard_form(eight_three)
+    again = to_standard_form(load_stabilizer(data_path("eight_three.stab")))
+    assert sf == again and hash(sf) == hash(again) and len({sf, again}) == 1
+    # the permutation and trace record how a form was reached, not the code
+    relabelled = StandardForm(sf.matrix, sf.n, sf.s, sf.qubit_permutation[::-1], [])
+    assert sf == relabelled and hash(sf) == hash(relabelled)
+    assert sf != StabilizerCode(sf.matrix, sf.n)
+    assert sf != to_standard_form(StabilizerCode.from_paulis(["XX", "ZZ"]))
 
 
 def test_verify_logical_algebra_names_a_logical_equal_to_a_generator(eight_three, monkeypatch):
