@@ -2,8 +2,9 @@
 
 - ``codeword_weight_hist``: weight histogram of all 2^k codewords.
 - ``normalizer_min_weight``: the exact quantum distance, by a meet-in-the-
-  middle join of single-qubit syndromes, weight by weight; ``join_entries``
-  is the number of keys it lists for one weight.
+  middle join of single-qubit syndromes, weight by weight, over the Paulis
+  of one or more letter alphabets; ``join_entries`` is the number of keys it
+  lists for one weight and one alphabet size.
 - ``bsc_trial_successes`` and ``leader_trial_successes``: the two Monte Carlo
   decoders for the binary symmetric channel.  Both read one counter-based
   flip stream, ``_trial_errors``, drawn in cache-sized blocks and packed into
@@ -82,15 +83,26 @@ def codeword_weight_hist(rows: np.ndarray, n: int) -> np.ndarray:
 # generator is folded in as a fixed pseudo-random 63-bit mask, and checked
 # exactly on the joined pairs only.
 _KEY_BITS = 63
-# A colex subset table is kept whole up to this many keys; larger ones are
-# streamed in blocks built from the table one size down.
+# A colex subset table is kept whole up to this many keys; rows of a larger
+# one are built on demand from the table one size down.  Tables and the probe
+# side of a join are built in blocks of about _BLOCK_KEYS keys, which bounds
+# the temporaries of a search.
 _TABLE_ENTRIES = 1 << 18
+_BLOCK_KEYS = 1 << 16
+# The hash mask of a join's sorted side has 16 to 32 entries per key, and at
+# most 2^_MASK_BITS.
+_MASK_BITS = 20
+# One join covers a range of split points while its sorted (smaller) side
+# stays within this many keys (chosen by a sweep of 2^10 .. 2^16, BENCH_11.json).
+_GROUP_KEYS = 1 << 11
+# (x bit, z bit) of each single-qubit letter
+_LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
-def _single_syndromes(gens: np.ndarray, n: int) -> np.ndarray:
-    """(n, 3) int64 join keys of X_p, Y_p, Z_p: the XOR of the masks of the
-    generators the Pauli anticommutes with (X_p those with a Z at p, Z_p
-    those with an X at p)."""
+def _single_syndromes(gens: np.ndarray, n: int, alphabet: str) -> np.ndarray:
+    """(n, len(alphabet)) int64 join keys of each letter at each position: the
+    XOR of the masks of the generators the letter anticommutes with (X_p
+    those with a Z at p, Z_p those with an X at p, Y_p both)."""
     m = gens.shape[0]
     folded = _mix64(np.arange(1, max(m - _KEY_BITS, 0) + 1, dtype=np.uint64) * _GOLDEN)
     masks = np.concatenate([
@@ -99,131 +111,213 @@ def _single_syndromes(gens: np.ndarray, n: int) -> np.ndarray:
     ])[:, None]
     sx = np.bitwise_xor.reduce(np.where(gens[:, n:] == 1, masks, 0), axis=0)
     sz = np.bitwise_xor.reduce(np.where(gens[:, :n] == 1, masks, 0), axis=0)
-    return np.stack([sx, sx ^ sz, sz], axis=1)
+    return np.stack([sx * x ^ sz * z for x, z in map(_LETTERS.get, alphabet)], axis=1)
 
 
 class _SubsetTables:
-    """Every t-subset of range(n) in colex order with the keys of its 3^t
-    letterings: ``pos`` is (C(n, t), t), ascending per row, and ``keys`` is
-    (C(n, t), 3^t), letter j (X, Y, Z = 0, 1, 2) of position j being base-3
-    digit j, most significant first.  In colex order the t-subsets of
-    range(b) are the first C(b, t) rows."""
+    """Join keys of every t-subset of range(n) in colex order under every
+    lettering from an alphabet of a letters: ``rows(t, r0, r1)`` is the
+    (r1 - r0, a^t) block of subsets r0 .. r1-1, the letter at a subset's j-th
+    position being base-a digit j of the column, least significant first.  In
+    colex order the subsets whose last position is e are rows C(e, t) ..
+    C(e + 1, t) - 1, so the t-subsets of range(b) are the first C(b, t).
+    Positions are not stored: ``positions`` recovers them from row numbers."""
 
     def __init__(self, syn: np.ndarray):
         self.syn = syn
-        self.pos = [np.zeros((1, 0), dtype=np.intp)]
-        self.keys = [np.zeros((1, 1), dtype=np.int64)]
+        self.n, self.a = syn.shape
+        self.keys = {0: np.zeros((1, 1), dtype=np.int64)}
+        self.colex = {}
 
-    def extend(self, pos, keys, e):
-        """The block with position ``e`` appended to every row."""
-        c = pos.shape[0]
-        return (
-            np.hstack([pos, np.full((c, 1), e, dtype=np.intp)]),
-            (keys[:, :, None] ^ self.syn[e]).reshape(c, -1),
-        )
+    def starts(self, t: int) -> np.ndarray:
+        """C(e, t) for e = 0 .. n: the first row whose last position is e."""
+        if t not in self.colex:
+            self.colex[t] = np.array([comb(e, t) for e in range(self.n + 1)], dtype=np.int64)
+        return self.colex[t]
 
-    def blocks(self, t: int, limit: int):
-        """(pos, keys) blocks that list the t-subsets of range(limit) in order."""
-        n = len(self.syn)
-        if t == len(self.pos) and comb(n, t) * 3**t <= _TABLE_ENTRIES:
-            parts = [
-                self.extend(p, k, e) for e in range(t - 1, n) for p, k in self.blocks(t - 1, e)
-            ]
-            self.pos.append(np.concatenate([p for p, _ in parts]))
-            self.keys.append(np.concatenate([k for _, k in parts]))
-        if t < len(self.pos):
-            c = comb(limit, t)
-            if c:
-                yield self.pos[t][:c], self.keys[t][:c]
-            return
-        for e in range(t - 1, limit):
-            for p, k in self.blocks(t - 1, e):
-                yield self.extend(p, k, e)
+    def rows(self, t: int, r0: int, r1: int) -> np.ndarray:
+        """Keys of rows r0 .. r1-1 of the t-table, kept whole if it is small."""
+        if t not in self.keys and comb(self.n, t) * self.a**t <= _TABLE_ENTRIES:
+            table = np.empty((comb(self.n, t), self.a**t), dtype=np.int64)
+            for c0, c1 in self.blocks(t, 0, len(table)):
+                table[c0:c1] = self._extend(t, c0, c1)
+            self.keys[t] = table
+        if t in self.keys:
+            return self.keys[t][r0:r1]
+        return self._extend(t, r0, r1)
+
+    def blocks(self, t: int, r0: int, r1: int):
+        """Row ranges of about ``_BLOCK_KEYS`` keys that tile r0 .. r1-1."""
+        step = max(1, _BLOCK_KEYS // self.a**t)
+        return ((c, min(r1, c + step)) for c in range(r0, r1, step))
+
+    def _extend(self, t: int, r0: int, r1: int) -> np.ndarray:
+        """Rows r0 .. r1-1 in one gather: row r, with last position e, is row
+        r - C(e, t) of the (t-1)-table with e appended, its letter the most
+        significant digit.  A range that starts inside one e's rows and runs
+        past them is split there, so it never gathers more rows than it
+        builds."""
+        starts = self.starts(t)
+        e0 = int(self.last(t, r0))
+        if starts[e0] < r0 and starts[e0 + 1] < r1:
+            split = int(starts[e0 + 1])
+            return np.concatenate([self._extend(t, r0, split), self._extend(t, split, r1)])
+        idx = np.arange(r0, r1)
+        e = self.last(t, idx)
+        idx -= starts[e]
+        lo = int(idx[0])
+        prev = self.rows(t - 1, lo, int(idx.max()) + 1)
+        return (self.syn[e][:, :, None] ^ prev[idx - lo][:, None, :]).reshape(len(idx), -1)
+
+    def last(self, t: int, r: np.ndarray) -> np.ndarray:
+        """The last position of the subsets in rows ``r``; -1 for t = 0."""
+        return np.searchsorted(self.starts(t), r, side="right") - 1
+
+    def positions(self, t: int, r: np.ndarray) -> np.ndarray:
+        """(len(r), t) ascending positions of the subsets in rows ``r``."""
+        pos = np.empty((len(r), t), dtype=np.intp)
+        r = r.copy()
+        for j in range(t, 0, -1):
+            pos[:, j - 1] = self.last(j, r)
+            r -= self.starts(j)[pos[:, j - 1]]
+        return pos
 
 
-def join_entries(n: int, w: int) -> int:
-    """Keys that :func:`normalizer_min_weight` lists to search weight ``w``:
-    the A lists over all b plus the B lists over all b."""
-    h, l = (w + 1) // 2, w // 2
-    return comb(n - l, h) * 3**h + comb(n - h + 1, l + 1) * 3**l
+def _split_groups(n: int, h: int, l: int, a: int):
+    """The joins that search weight h + l with an alphabet of a letters, as
+    (b0, b1, A keys, B keys): split points b0 .. b1-1 are joined at once.  The
+    A side lists the h-subsets whose last position lies in [b0, b1), the B
+    side the l-subsets lying wholly after b0.  A range grows while its
+    smaller side stays within ``_GROUP_KEYS`` keys."""
+    b0, stop = h - 1, n - l
+    while b0 < stop:
+        size_b = comb(n - 1 - b0, l) * a**l
+        b1 = b0 + 1
+        if size_b <= _GROUP_KEYS:
+            b1 = stop
+        while b1 < stop and (comb(b1 + 1, h) - comb(b0, h)) * a**h <= _GROUP_KEYS:
+            b1 += 1
+        yield b0, b1, (comb(b1, h) - comb(b0, h)) * a**h, size_b
+        b0 = b1
 
 
-def _paulis(pos: np.ndarray, letters: np.ndarray, n: int) -> np.ndarray:
-    """(P, 2n) bit rows of the Paulis with the given positions and base-3
-    letter indices."""
+def join_entries(n: int, w: int, a: int = 3) -> int:
+    """Keys that :func:`normalizer_min_weight` lists to search weight ``w``
+    with an alphabet of ``a`` letters: both sides of every join."""
+    return sum(size_a + size_b for *_, size_a, size_b in _split_groups(n, (w + 1) // 2, w // 2, a))
+
+
+def _paulis(pos: np.ndarray, letters: np.ndarray, n: int, alphabet: str) -> np.ndarray:
+    """(P, 2n) bit rows of the Paulis with the given positions and base-a
+    letter indices (digit j for column j of ``pos``, least significant first)."""
+    a, t = len(alphabet), pos.shape[1]
+    x, z = np.array([_LETTERS[c] for c in alphabet], dtype=np.uint8).T
     v = np.zeros((len(pos), 2 * n), dtype=np.uint8)
-    rows = np.arange(len(pos))
-    t = pos.shape[1]
-    for j in range(t):
-        let = letters // 3 ** (t - 1 - j) % 3
-        v[rows, pos[:, j]] = let != 2
-        v[rows, n + pos[:, j]] = let != 0
+    rows = np.arange(len(pos))[:, None]
+    let = letters[:, None] // a ** np.arange(t) % a
+    v[rows, pos] = x[let]
+    v[rows, n + pos] = z[let]
     return v
 
 
-def _joined(small, large, n: int):
-    """Bit rows of the Paulis A + B for every pair of equal keys.
+def _bucket(keys: np.ndarray, bits: int) -> np.ndarray:
+    """A multiplicative hash of int64 keys onto ``bits`` bits."""
+    return (keys.view(np.uint64) * _GOLDEN) >> np.uint64(64 - bits)
 
-    ``small`` and ``large`` are iterables of (pos, keys) blocks over disjoint
-    positions; ``small`` is sorted whole and each ``large`` block probes it.
-    """
-    small = list(small)
-    if not small:
-        return
-    pos_s = np.concatenate([p for p, _ in small])
-    keys_s = np.concatenate([k for _, k in small])
-    order = np.argsort(keys_s, axis=None)
-    flat = keys_s.ravel()[order]
-    for pos_l, keys_l in large:
-        probe = keys_l.ravel()
-        lo = np.searchsorted(flat, probe)
-        hit = np.flatnonzero(flat[np.minimum(lo, flat.size - 1)] == probe)
-        if not hit.size:
+
+def _joined(fwd: _SubsetTables, rev: _SubsetTables, h: int, l: int, group, alphabet: str):
+    """Bit rows of the Paulis A + B with equal keys over one range of split
+    points (a group of :func:`_split_groups`), where max(A) < min(B).
+
+    The smaller side is sorted whole, and its keys are marked in a mask
+    under a multiplicative hash.  The other side is listed in blocks; only
+    the entries whose hash is marked are sorted and looked up in the sorted
+    keys, so most keys of the large side cost a hash and a mask read.  ``rev`` lists
+    the B side reversed, so the l-subsets after b0 are its first
+    C(n-1-b0, l) rows."""
+    b0, b1, size_a, size_b = group
+    n, a = fwd.n, fwd.a
+    sides = [(fwd, h, comb(b0, h), comb(b1, h)), (rev, l, 0, comb(n - 1 - b0, l))]
+    if size_a > size_b:
+        sides.reverse()
+    (tab_s, t_s, s0, s1), (tab_l, t_l, l0, l1) = sides
+    keys_s = tab_s.rows(t_s, s0, s1).ravel()
+    order = np.argsort(keys_s)
+    flat = keys_s[order]
+    bits = min(_MASK_BITS, flat.size.bit_length() + 4)
+    marked = np.zeros(1 << bits, dtype=bool)
+    marked[_bucket(flat, bits)] = True
+    for c0, c1 in tab_l.blocks(t_l, l0, l1):
+        probe = tab_l.rows(t_l, c0, c1).ravel()
+        li = np.flatnonzero(marked[_bucket(probe, bits)])
+        li = li[np.argsort(probe[li])]  # sorted, the lookups run much faster
+        lo = np.searchsorted(flat, probe[li])
+        cnt = np.searchsorted(flat, probe[li], side="right") - lo
+        if not cnt.any():
             continue
-        lo = lo[hit]
-        cnt = np.searchsorted(flat, probe[hit], side="right") - lo
-        li = np.repeat(hit, cnt)
         si = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
-        ws, wl = keys_s.shape[1], keys_l.shape[1]
-        yield _paulis(pos_s[si // ws], si % ws, n) | _paulis(pos_l[li // wl], li % wl, n)
+        li = np.repeat(li, cnt) + (c0 - l0) * a**t_l
+        ia, ib = (si, li) if tab_s is fwd else (li, si)
+        ra, rb = comb(b0, h) + ia // a**h, ib // a**l
+        keep = fwd.last(h, ra) < n - 1 - rev.last(l, rb)  # max(A) < min(B)
+        ia, ib, ra, rb = ia[keep], ib[keep], ra[keep], rb[keep]
+        pos = np.hstack([fwd.positions(h, ra), n - 1 - rev.positions(l, rb)])
+        yield _paulis(pos, ia % a**h + ib % a**l * a**h, n, alphabet)
 
 
 def normalizer_min_weight(
-    gens: np.ndarray, span_rows: np.ndarray, span_pivots: np.ndarray, n: int, cap: int
+    gens: np.ndarray,
+    span_rows: np.ndarray,
+    span_pivots: np.ndarray,
+    n: int,
+    cap: int,
+    alphabets: tuple[str, ...] = ("XYZ",),
+    max_keys: int | None = None,
 ) -> int:
-    """Minimum Pauli weight of a vector commuting with all generators but
-    outside their row span; 0 when nothing is found up to ``cap``.
+    """Minimum weight of a Pauli commuting with all generators but outside
+    their row span, its letters drawn from one of ``alphabets``; 0 when none
+    is found up to ``cap``, or before the first weight whose joins would
+    list more than ``max_keys`` keys (:func:`join_entries`, summed over the
+    alphabets).
 
     Meet in the middle on syndromes (Stern, "A method for finding codewords
     of small weight", 1988).  A Pauli commutes with every generator iff the
     syndromes of its single-qubit letters XOR to 0.  A weight-w Pauli splits
     in exactly one way into A, its first ceil(w/2) positions with the last
-    one at b, and B, the floor(w/2) positions after b.  For each b the A
-    list and the B list are joined on equal keys (the smaller list sorted,
-    the larger one probing it), and only the joined pairs are checked
+    one at b, and B, the floor(w/2) positions after b.  One join covers a
+    whole range [b0, b1) of split points (:func:`_split_groups`): A lists the
+    subsets whose last position lies in the range, a slice of the colex
+    table, and B those lying wholly after b0, a prefix of the reversed table.
+    Keys are joined on equality, and a pair is kept only when max(A) <
+    min(B), so each Pauli is still listed once; the kept pairs are checked
     against the generators past the key and reduced against the span.
+
+    Every alphabet is searched at each weight before the next, so the answer
+    is the first weight at which any alphabet finds a logical.  ``"XYZ"``
+    covers every Pauli; ``("X", "Z")`` covers the pure-X and pure-Z ones, which
+    is exact for a CSS group (see :func:`stab2lin.stabilizer.quantum_distance`).
     """
     gens = np.asarray(gens, dtype=np.uint8)
     span = np.asarray(span_rows, dtype=np.uint8)
     pivots = np.asarray(span_pivots, dtype=np.intp)
     unkeyed = gens[_KEY_BITS:]
     unkeyed = np.hstack([unkeyed[:, n:], unkeyed[:, :n]]).T  # symplectic dual
-    syn = _single_syndromes(gens, n)
-    fwd, rev = _SubsetTables(syn), _SubsetTables(syn[::-1])
+    tables = []
+    for alphabet in alphabets:
+        syn = _single_syndromes(gens, n, alphabet)
+        tables.append((alphabet, _SubsetTables(syn), _SubsetTables(syn[::-1])))
     for w in range(1, cap + 1):
         h, l = (w + 1) // 2, w // 2
-        for b in range(h - 1, n - l):
-            a_side = (fwd.extend(p, k, b) for p, k in fwd.blocks(h - 1, b))
-            b_side = ((n - 1 - p, k) for p, k in rev.blocks(l, n - 1 - b))
-            if comb(b, h - 1) * 3**h <= comb(n - 1 - b, l) * 3**l:
-                small, large = a_side, b_side
-            else:
-                small, large = b_side, a_side
-            for v in _joined(small, large, n):
-                if unkeyed.size:
-                    v = v[~gf2.mat_mul(v, unkeyed).any(axis=1)]
-                if (gf2.mat_mul(v[:, pivots], span) != v).any():
-                    return w
+        plans = [list(_split_groups(n, h, l, len(alphabet))) for alphabet in alphabets]
+        if max_keys is not None and sum(sa + sb for p in plans for *_, sa, sb in p) > max_keys:
+            return 0
+        for (alphabet, fwd, rev), plan in zip(tables, plans):
+            for group in plan:
+                for v in _joined(fwd, rev, h, l, group, alphabet):
+                    if unkeyed.size:
+                        v = v[~gf2.mat_mul(v, unkeyed).any(axis=1)]
+                    if (gf2.mat_mul(v[:, pivots], span) != v).any():
+                        return w
     return 0
 
 

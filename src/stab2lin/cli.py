@@ -26,7 +26,6 @@ from .formats import (
     write_generator_text,
     write_stabilizer_text,
 )
-from ._kernels import join_entries
 from .stabilizer import (
     StabilizerCode,
     ensure_positive_r,
@@ -245,7 +244,7 @@ def distance(file, mode, cap, as_json):
             w = result.searched + 1
             click.echo(
                 f"distance > {result.searched} (work limit: searching weight {w} "
-                f"would list {join_entries(code.n, w):.2g} join keys)"
+                f"would list {result.predicted_keys:.2g} join keys)"
             )
         else:
             click.echo(f"d={result.value} t={result.t}")

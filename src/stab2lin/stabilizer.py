@@ -171,22 +171,23 @@ class StandardForm(StabilizerCode):
     blocks ``a1`` ... ``c2`` are views of ``matrix``.
 
     ``qubit_permutation[p]`` is the original qubit position now at
-    standardized position ``p``; like ``matrix`` it is read-only.  Replaying
-    ``op_trace`` against the original matrix reproduces ``matrix``
-    bit-exactly.  Equality and hashing are those of the code: the
-    permutation and the trace, which record how it was reached, are not
-    compared.
+    standardized position ``p``; like ``matrix`` it is read-only, and
+    ``op_trace`` is stored as a tuple.  Replaying ``op_trace`` against the
+    original matrix reproduces ``matrix`` bit-exactly.  Equality and hashing
+    are those of the code: the permutation and the trace, which record how
+    it was reached, are not compared.
     """
 
     s: int
     qubit_permutation: np.ndarray
-    op_trace: list[ElementaryOp] = field(repr=False)
+    op_trace: tuple[ElementaryOp, ...] = field(repr=False)
 
     def __post_init__(self):
         super().__post_init__()
         perm = np.array(self.qubit_permutation)
         perm.flags.writeable = False
         object.__setattr__(self, "qubit_permutation", perm)
+        object.__setattr__(self, "op_trace", tuple(self.op_trace))
 
     @property
     def r(self) -> int:
@@ -398,8 +399,10 @@ def verify_logical_algebra(sf: StandardForm) -> LogicalAlgebraReport:
 
 
 # The distance search refuses to start a weight level that lists more join
-# keys than this (_kernels.join_entries): at about 25 ns per key on one core,
-# no level past about 50 s starts.  Rotated surface d=7 needs 1.8e7.
+# keys than this (_kernels.join_entries, summed over the alphabets it runs):
+# at about 25 ns per key on one core, no level past about 50 s starts.  The
+# rotated surface code with d=9, a CSS code, lists 5.9e7 keys at w = 9 in
+# its two one-letter joins; over {X, Y, Z} it would list 6.3e9.
 MAX_JOIN_ENTRIES = 2 * 10**9
 
 CAP = "cap"
@@ -414,13 +417,16 @@ class DistanceResult:
     ``"cap"`` when no weight up to ``cap`` qualifies, ``"work-limit"`` when
     the next level was predicted above ``MAX_JOIN_ENTRIES``, and None for a
     k = 0 code, which has no logical operators, so its distance is undefined.
-    Every weight up to ``searched`` was searched.
+    Every weight up to ``searched`` was searched.  On a work limit,
+    ``predicted_keys`` is the number of join keys the refused level would
+    have listed, the number the guard compared with the limit.
     """
 
     value: int | None
     cap: int
     searched: int
     stopped_by: str | None = None
+    predicted_keys: int | None = None
 
     @property
     def exceeded(self) -> bool:
@@ -435,27 +441,52 @@ class DistanceResult:
         return None if self.value is None else (self.value - 1) // 2
 
 
+def is_css(code: StabilizerCode) -> bool:
+    """Whether the stabilizer group is generated by pure-X and pure-Z
+    elements, however the generators are written.
+
+    The pure-X elements are the combinations whose Z half vanishes, a
+    subgroup of dimension m - rank(Z half); the pure-Z ones have dimension
+    m - rank(X half).  They intersect only in the identity, so they generate
+    the group iff those dimensions sum to m, i.e. rank(X) + rank(Z) = m.
+    """
+    n = code.n
+    return gf2.rank(code.matrix[:, :n]) + gf2.rank(code.matrix[:, n:]) == code.m
+
+
 def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> DistanceResult:
     """Minimum Pauli weight over vectors commuting with all generators but
     outside the generator row span, searched by increasing weight with the
     meet-in-the-middle join of :func:`_kernels.normalizer_min_weight`.
 
+    A CSS group (:func:`is_css`) is searched with the one-letter alphabets
+    {X} and {Z}, any other with {X, Y, Z}.  That is exact: d = min(d_X, d_Z).
+    The group has a basis of pure-X and pure-Z elements.  A logical X^a Z^b
+    commutes with the pure-Z ones through a alone and with the pure-X ones
+    through b alone, so X^a and Z^b each commute with the whole group.  If
+    both were in the group, so would be their product; so one of them is a
+    logical operator, and it weighs no more than X^a Z^b.
+
     ``weight_cap`` defaults to n (exhaustive).  A k = 0 code returns at once
     with an undefined distance.  The search stops before the first weight
-    level whose join is predicted to list more than ``MAX_JOIN_ENTRIES`` keys
-    and reports the lower bound it reached.
+    level whose joins are predicted to list more than ``MAX_JOIN_ENTRIES``
+    keys, summed over the alphabets, and reports the lower bound it reached.
     """
     n = code.n
     cap = n if weight_cap is None else min(weight_cap, n)
     red = gf2.rref(code.matrix)
     if red.rank == n:
         return DistanceResult(None, cap, 0)
-    reach = next(
-        (w - 1 for w in range(1, cap + 1) if _kernels.join_entries(n, w) > MAX_JOIN_ENTRIES),
-        cap,
-    )
+    alphabets = ("X", "Z") if is_css(code) else ("XYZ",)
     span_rows = red.matrix[: red.rank]
-    d = _kernels.normalizer_min_weight(code.matrix, span_rows, red.pivots, n, reach)
+    d = _kernels.normalizer_min_weight(
+        code.matrix, span_rows, red.pivots, n, cap, alphabets, MAX_JOIN_ENTRIES
+    )
     if d:
         return DistanceResult(d, cap, d)
-    return DistanceResult(None, cap, reach, CAP if reach == cap else WORK_LIMIT)
+    # nothing found: the kernel stopped at the cap or before the same level
+    for w in range(1, cap + 1):
+        keys = sum(_kernels.join_entries(n, w, len(a)) for a in alphabets)
+        if keys > MAX_JOIN_ENTRIES:
+            return DistanceResult(None, cap, w - 1, WORK_LIMIT, keys)
+    return DistanceResult(None, cap, cap, CAP)

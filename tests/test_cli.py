@@ -253,10 +253,12 @@ def test_distance_quantum_k_zero_undefined():
 def test_distance_quantum_work_limit(tmp_path, monkeypatch):
     path = tmp_path / "surface5.stab"
     path.write_text("\n".join(rotated_surface_code(5).pauli_strings()) + "\n")
-    monkeypatch.setattr(stabilizer, "MAX_JOIN_ENTRIES", _kernels.join_entries(25, 4))
+    # surface d5 is CSS: two one-letter joins per weight
+    monkeypatch.setattr(stabilizer, "MAX_JOIN_ENTRIES", 2 * _kernels.join_entries(25, 4, 1))
     res = run("distance", path, "--quantum")
     assert res.exit_code == 0
     assert res.output.startswith("distance > 4 (work limit: searching weight 5 ")
+    assert f"would list {2 * _kernels.join_entries(25, 5, 1):.2g} join keys" in res.output
     payload = json.loads(run("distance", path, "--quantum", "--json").stdout)
     assert payload["stopped_by"] == "work-limit" and payload["searched"] == 4
     assert payload["distance"] is None and payload["exceeded"] is False

@@ -1,7 +1,8 @@
 """Oracle tests: each vectorized kernel against a direct brute-force
 computation of the same quantity."""
 
-from itertools import product
+from contextlib import nullcontext
+from itertools import combinations, product
 from math import comb
 from unittest import mock
 
@@ -16,6 +17,7 @@ from stab2lin.lincode import (
     codeword_table,
     coset_leaders,
 )
+from stab2lin.stabilizer import is_css, quantum_distance
 
 from util import (
     data_path,
@@ -23,6 +25,7 @@ from util import (
     encode,
     in_rowspan,
     pauli_weight_rows,
+    random_css_code,
     random_stabilizer_code,
 )
 
@@ -115,6 +118,36 @@ def test_normalizer_min_weight_cap_returns_zero():
         assert _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, d) == d
 
 
+# the search as it runs, with every join a single split point, and with no
+# subset table kept, every row built and probed one at a time and a 2-bit
+# join key, so that most generators are folded into the key, keys collide and
+# the joined pairs must be checked against them exactly
+PATCHES = (
+    {},
+    {"_GROUP_KEYS": 0},
+    {"_TABLE_ENTRIES": 0, "_BLOCK_KEYS": 0, "_KEY_BITS": 2},
+)
+
+
+def kernel_answers(code, alphabets=("XYZ",)):
+    """The kernel's answer for every cap 1..n, under each of ``PATCHES``."""
+    n = code.n
+    red = gf2.rref(code.matrix)
+    span = red.matrix[: red.rank]
+    answers = []
+    for patch in PATCHES:
+        with mock.patch.multiple(_kernels, **patch) if patch else nullcontext():
+            answers.append([
+                _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, cap, alphabets)
+                for cap in range(1, n + 1)
+            ])
+    return answers
+
+
+def expected_answers(d, n):
+    return [[d if d <= cap else 0 for cap in range(1, n + 1)]] * len(PATCHES)
+
+
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, n), st.integers(0, 2**32 - 1))))
 @settings(max_examples=30, deadline=None)
@@ -127,31 +160,47 @@ def test_normalizer_min_weight_join_matches_pauli_enumeration(case):
     # B list, and k = 0 (m = n) where nothing qualifies at any weight
     n, m, seed = case
     code = random_stabilizer_code(np.random.default_rng(seed), n, m)
-    red = gf2.rref(code.matrix)
-    span = red.matrix[: red.rank]
     d = pauli_enumeration_min_weight(code, n)
     assert (d == 0) == (m == n)
-    for cap in range(1, n + 1):
-        got = _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, cap)
-        assert got == (d if d <= cap else 0), cap
-    # the same search with every subset table streamed in blocks, and with a
-    # 2-bit join key, so that most generators are folded into the key, keys
-    # collide and the joined pairs must be checked against them exactly
-    with mock.patch.object(_kernels, "_TABLE_ENTRIES", 0), \
-            mock.patch.object(_kernels, "_KEY_BITS", 2):
-        got = _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, n)
-    assert got == d
+    assert kernel_answers(code) == expected_answers(d, n)
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(0, n), st.integers(0, 2**32 - 1))).filter(
+    lambda c: 1 <= c[1] + c[2] <= c[0]))
+@settings(max_examples=30, deadline=None)
+def test_css_alphabets_match_pauli_enumeration(case):
+    # a CSS group searched with the one-letter alphabets {X} and {Z} finds
+    # the distance that all 4^n Paulis give
+    n, rx, rz, seed = case
+    code = random_css_code(np.random.default_rng(seed), n, rx, rz)
+    assert is_css(code)
+    # k = 0 has no logical operator (the enumeration test above checks that
+    # the oracle agrees), so the slow scan is skipped there
+    d = 0 if rx + rz == n else pauli_enumeration_min_weight(code, n)
+    assert kernel_answers(code, ("X", "Z")) == expected_answers(d, n)
+    assert quantum_distance(code).value == (d or None)
 
 
 def test_join_entries_counts_both_lists():
-    # direct count of the A lists (first ceil(w/2) positions, last at b) and
-    # the B lists (floor(w/2) positions after b), 3 letters per position
-    for n in range(1, 9):
-        for w in range(1, n + 1):
-            h, l = (w + 1) // 2, w // 2
-            a = sum(comb(b, h - 1) for b in range(h - 1, n - l)) * 3**h
-            b_ = sum(comb(n - 1 - b, l) for b in range(h - 1, n - l)) * 3**l
-            assert _kernels.join_entries(n, w) == a + b_, (n, w)
+    # direct count of the lists each join makes: the A side, the h-subsets
+    # whose last position lies in [b0, b1), and the B side, the l-subsets
+    # lying wholly after b0, with a^h and a^l letterings; the ranges must
+    # tile the split points h-1 .. n-l-1, one per point with a budget of 0
+    for budget in (0, 50, _kernels._GROUP_KEYS):
+        with mock.patch.object(_kernels, "_GROUP_KEYS", budget):
+            for a, n in product((1, 3), range(1, 9)):
+                for w in range(1, n + 1):
+                    h, l = (w + 1) // 2, w // 2
+                    groups = list(_kernels._split_groups(n, h, l, a))
+                    ranges = [b for b0, b1, *_ in groups for b in range(b0, b1)]
+                    assert ranges == list(range(h - 1, n - l))
+                    assert budget or all(b1 == b0 + 1 for b0, b1, *_ in groups)
+                    count = 0
+                    for b0, b1, *_ in groups:
+                        count += sum(b0 <= s[-1] < b1 for s in combinations(range(n), h)) * a**h
+                        count += len(list(combinations(range(b0 + 1, n), l))) * a**l
+                    assert _kernels.join_entries(n, w, a) == count, (budget, a, n, w)
 
 
 def scalar_errors(n, delta, trials, seed, start=0):

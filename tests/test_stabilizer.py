@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from stab2lin.pauli import symplectic_product_rows
 from stab2lin.stabilizer import (
     COLUMN_ADDITION,
     COLUMN_SWITCH,
+    COLUMN_TRANSPOSITION,
+    ROW_ADDITION,
     ElementaryOp,
     StabilizerCode,
     StandardForm,
@@ -20,6 +23,7 @@ from stab2lin.stabilizer import (
     apply_op,
     apply_ops,
     ensure_positive_r,
+    is_css,
     logical_bit_ops,
     logical_phase_ops,
     quantum_distance,
@@ -37,6 +41,7 @@ from util import (
     in_rowspan,
     pauli_weight_rows,
     random_elementary_op,
+    random_css_code,
     random_r_zero_code,
     random_stabilizer_code,
     reference_logical_algebra_ok,
@@ -86,6 +91,15 @@ def test_standard_form_trace_replay(eight_three):
     for op in sf.op_trace:
         replayed = apply_op(replayed, op, eight_three.n)
     assert np.array_equal(replayed, sf.matrix)
+
+
+def test_standard_form_trace_is_immutable(eight_three):
+    sf = to_standard_form(eight_three)
+    assert isinstance(sf.op_trace, tuple)
+    with pytest.raises(AttributeError):
+        sf.op_trace.append(ElementaryOp(COLUMN_SWITCH, (0,)))
+    replayed = apply_ops(eight_three, sf.op_trace)
+    assert np.array_equal(replayed.matrix, sf.matrix)
 
 
 def test_standard_form_preserves_validity_and_span(eight_three):
@@ -457,13 +471,71 @@ def test_quantum_distance_k_zero_is_undefined(monkeypatch):
 
 def test_quantum_distance_work_limit(monkeypatch):
     code = rotated_surface_code(5)
-    monkeypatch.setattr(stabilizer, "MAX_JOIN_ENTRIES", _kernels.join_entries(25, 4))
+    # surface d5 is CSS: two one-letter joins per weight
+    monkeypatch.setattr(stabilizer, "MAX_JOIN_ENTRIES", 2 * _kernels.join_entries(25, 4, 1))
     res = quantum_distance(code)
     assert (res.value, res.searched, res.stopped_by) == (None, 4, "work-limit")
+    assert res.predicted_keys == 2 * _kernels.join_entries(25, 5, 1)
     assert not res.exceeded and not res.undefined
     # a cap below the limit is still a cap hit
     res = quantum_distance(code, weight_cap=3)
     assert (res.searched, res.stopped_by) == (3, "cap") and res.exceeded
+
+
+def column_added(code, qubit):
+    return apply_ops(code, [ElementaryOp(COLUMN_ADDITION, (qubit,))])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_quantum_distance_surface_exact(d):
+    # the CSS code through the {X}, {Z} joins, and the same code after one
+    # column-addition (same distance, no longer CSS) through the {X, Y, Z} join
+    code = rotated_surface_code(d)
+    other = column_added(code, code.n // 2)
+    assert is_css(code) and not is_css(other)
+    for c in (code, other):
+        res = quantum_distance(c)
+        assert (res.value, res.stopped_by) == (d, None)
+
+
+def brute_is_css(code):
+    """Oracle: count the pure-X and pure-Z elements among all 2^m products."""
+    n, m = code.n, code.m
+    combos = np.array(list(product((0, 1), repeat=m)), np.uint8)
+    elements = gf2.mat_mul(combos, code.matrix)
+    pure_x = int((~elements[:, n:].any(axis=1)).sum())
+    pure_z = int((~elements[:, :n].any(axis=1)).sum())
+    return pure_x * pure_z == 2**m
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(0, 2**32 - 1), st.booleans())))
+@settings(max_examples=40, deadline=None)
+def test_is_css_matches_group_oracle_and_ignores_presentation(case):
+    n, m, seed, css = case
+    rng = np.random.default_rng(seed)
+    if css:
+        rx = int(rng.integers(0, m + 1))
+        code = random_css_code(rng, n, rx, m - rx)
+    else:
+        code = random_stabilizer_code(rng, n, m)
+    assert is_css(code) == brute_is_css(code)
+    assert not css or is_css(code)
+    ops = []
+    for _ in range(6):
+        if m > 1 and rng.integers(2):
+            t, s_ = rng.choice(m, size=2, replace=False)
+            ops.append(ElementaryOp(ROW_ADDITION, (int(t), int(s_))))
+        elif n > 1:
+            i, j = rng.choice(n, size=2, replace=False)
+            ops.append(ElementaryOp(COLUMN_TRANSPOSITION, (int(i), int(j))))
+    assert is_css(apply_ops(code, ops)) == is_css(code)
+
+
+def test_is_css_named_codes():
+    assert is_css(rotated_surface_code(3))
+    assert not is_css(column_added(rotated_surface_code(3), 4))
+    assert not is_css(load_stabilizer(data_path("five_one.stab")))
 
 
 def test_quantum_distance_surface_d7_exact():

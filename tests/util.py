@@ -134,6 +134,31 @@ def random_stabilizer_code(rng: np.random.Generator, n: int, m: int) -> Stabiliz
     return StabilizerCode(np.array(rows, np.uint8), n)
 
 
+def random_css_code(rng: np.random.Generator, n: int, rx: int, rz: int) -> StabilizerCode:
+    """A random CSS code: a full-rank rx x n H_X, and rz independent rows H_Z
+    drawn from the dual of H_X, so every X row commutes with every Z row; the
+    m = rx + rz generators are then scrambled by random row additions, so the
+    file no longer lists them as pure X and pure Z."""
+    assert rx + rz <= n and rx + rz >= 1
+    while True:
+        hx = random_bit_matrix(rng, rx, n)
+        if gf2.rank(hx) == rx:
+            break
+    dual = gf2.nullspace(hx)
+    while True:
+        hz = gf2.mat_mul(random_bit_matrix(rng, rz, dual.shape[0]), dual)
+        if gf2.rank(hz) == rz:
+            break
+    mat = np.zeros((rx + rz, 2 * n), np.uint8)
+    mat[:rx, :n] = hx
+    mat[rx:, n:] = hz
+    for _ in range(2 * (rx + rz)):
+        t, s = rng.integers(0, rx + rz, size=2)
+        if t != s:
+            mat[t] ^= mat[s]
+    return StabilizerCode(mat, n)
+
+
 def random_r_zero_code(rng: np.random.Generator, n: int, m: int) -> StabilizerCode:
     """A random valid code whose standard form has r = 0: X is a random
     full-rank m x n matrix and Z = X S for a random symmetric S, so the rows
