@@ -90,8 +90,11 @@ _KEY_BITS = 63
 _TABLE_ENTRIES = 1 << 18
 _BLOCK_KEYS = 1 << 16
 # The hash mask of a join's sorted side has 16 to 32 entries per key, and at
-# most 2^_MASK_BITS.
+# most 2^_MASK_BITS.  It is built only for a join whose larger side exceeds
+# _MASK_PROBE keys: below that, sorting the whole probe side is cheaper
+# (measured with and without the mask, BENCH_11.json).
 _MASK_BITS = 20
+_MASK_PROBE = 1 << 12
 # One join covers a range of split points while its sorted (smaller) side
 # stays within this many keys (chosen by a sweep of 2^10 .. 2^16, BENCH_11.json).
 _GROUP_KEYS = 1 << 11
@@ -201,7 +204,7 @@ def _split_groups(n: int, h: int, l: int, a: int):
         b0 = b1
 
 
-def join_entries(n: int, w: int, a: int = 3) -> int:
+def join_entries(n: int, w: int, a: int) -> int:
     """Keys that :func:`normalizer_min_weight` lists to search weight ``w``
     with an alphabet of ``a`` letters: both sides of every join."""
     return sum(size_a + size_b for *_, size_a, size_b in _split_groups(n, (w + 1) // 2, w // 2, a))
@@ -229,12 +232,13 @@ def _joined(fwd: _SubsetTables, rev: _SubsetTables, h: int, l: int, group, alpha
     """Bit rows of the Paulis A + B with equal keys over one range of split
     points (a group of :func:`_split_groups`), where max(A) < min(B).
 
-    The smaller side is sorted whole, and its keys are marked in a mask
-    under a multiplicative hash.  The other side is listed in blocks; only
-    the entries whose hash is marked are sorted and looked up in the sorted
-    keys, so most keys of the large side cost a hash and a mask read.  ``rev`` lists
-    the B side reversed, so the l-subsets after b0 are its first
-    C(n-1-b0, l) rows."""
+    The smaller side is sorted whole.  The other side is listed in blocks,
+    and each block is sorted and looked up in the sorted keys.  On a large
+    join the sorted keys are first marked in a mask under a multiplicative
+    hash, and only the block entries whose hash is marked are sorted and
+    looked up, so most keys of the large side cost a hash and a mask read.
+    ``rev`` lists the B side reversed, so the l-subsets after b0 are its
+    first C(n-1-b0, l) rows."""
     b0, b1, size_a, size_b = group
     n, a = fwd.n, fwd.a
     sides = [(fwd, h, comb(b0, h), comb(b1, h)), (rev, l, 0, comb(n - 1 - b0, l))]
@@ -244,13 +248,19 @@ def _joined(fwd: _SubsetTables, rev: _SubsetTables, h: int, l: int, group, alpha
     keys_s = tab_s.rows(t_s, s0, s1).ravel()
     order = np.argsort(keys_s)
     flat = keys_s[order]
-    bits = min(_MASK_BITS, flat.size.bit_length() + 4)
-    marked = np.zeros(1 << bits, dtype=bool)
-    marked[_bucket(flat, bits)] = True
+    masked = max(size_a, size_b) > _MASK_PROBE
+    if masked:
+        bits = min(_MASK_BITS, flat.size.bit_length() + 4)
+        marked = np.zeros(1 << bits, dtype=bool)
+        marked[_bucket(flat, bits)] = True
     for c0, c1 in tab_l.blocks(t_l, l0, l1):
         probe = tab_l.rows(t_l, c0, c1).ravel()
-        li = np.flatnonzero(marked[_bucket(probe, bits)])
-        li = li[np.argsort(probe[li])]  # sorted, the lookups run much faster
+        # sorted probes make the lookups run much faster
+        if masked:
+            li = np.flatnonzero(marked[_bucket(probe, bits)])
+            li = li[np.argsort(probe[li])]
+        else:
+            li = np.argsort(probe)
         lo = np.searchsorted(flat, probe[li])
         cnt = np.searchsorted(flat, probe[li], side="right") - lo
         if not cnt.any():
@@ -272,13 +282,10 @@ def normalizer_min_weight(
     n: int,
     cap: int,
     alphabets: tuple[str, ...] = ("XYZ",),
-    max_keys: int | None = None,
 ) -> int:
     """Minimum weight of a Pauli commuting with all generators but outside
     their row span, its letters drawn from one of ``alphabets``; 0 when none
-    is found up to ``cap``, or before the first weight whose joins would
-    list more than ``max_keys`` keys (:func:`join_entries`, summed over the
-    alphabets).
+    is found up to ``cap``.
 
     Meet in the middle on syndromes (Stern, "A method for finding codewords
     of small weight", 1988).  A Pauli commutes with every generator iff the
@@ -308,11 +315,8 @@ def normalizer_min_weight(
         tables.append((alphabet, _SubsetTables(syn), _SubsetTables(syn[::-1])))
     for w in range(1, cap + 1):
         h, l = (w + 1) // 2, w // 2
-        plans = [list(_split_groups(n, h, l, len(alphabet))) for alphabet in alphabets]
-        if max_keys is not None and sum(sa + sb for p in plans for *_, sa, sb in p) > max_keys:
-            return 0
-        for (alphabet, fwd, rev), plan in zip(tables, plans):
-            for group in plan:
+        for alphabet, fwd, rev in tables:
+            for group in _split_groups(n, h, l, len(alphabet)):
                 for v in _joined(fwd, rev, h, l, group, alphabet):
                     if unkeyed.size:
                         v = v[~gf2.mat_mul(v, unkeyed).any(axis=1)]

@@ -445,13 +445,15 @@ def is_css(code: StabilizerCode) -> bool:
     """Whether the stabilizer group is generated by pure-X and pure-Z
     elements, however the generators are written.
 
-    The pure-X elements are the combinations whose Z half vanishes, a
-    subgroup of dimension m - rank(Z half); the pure-Z ones have dimension
-    m - rank(X half).  They intersect only in the identity, so they generate
-    the group iff those dimensions sum to m, i.e. rank(X) + rank(Z) = m.
+    Let r be the rank of the group.  The pure-X elements are the
+    combinations whose Z half vanishes: m - rank(Z half) combinations, of
+    which the m - r that give the identity drop out, so a subgroup of
+    dimension r - rank(Z half).  The pure-Z ones have dimension
+    r - rank(X half).  They intersect only in the identity, so they generate
+    the group iff those dimensions sum to r, i.e. rank(X) + rank(Z) = r.
     """
-    n = code.n
-    return gf2.rank(code.matrix[:, :n]) + gf2.rank(code.matrix[:, n:]) == code.m
+    n, mat = code.n, code.matrix
+    return gf2.rank(mat[:, :n]) + gf2.rank(mat[:, n:]) == gf2.rank(mat)
 
 
 def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> DistanceResult:
@@ -478,15 +480,16 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
     if red.rank == n:
         return DistanceResult(None, cap, 0)
     alphabets = ("X", "Z") if is_css(code) else ("XYZ",)
-    span_rows = red.matrix[: red.rank]
-    d = _kernels.normalizer_min_weight(
-        code.matrix, span_rows, red.pivots, n, cap, alphabets, MAX_JOIN_ENTRIES
-    )
-    if d:
-        return DistanceResult(d, cap, d)
-    # nothing found: the kernel stopped at the cap or before the same level
+    reach, predicted = cap, None
     for w in range(1, cap + 1):
         keys = sum(_kernels.join_entries(n, w, len(a)) for a in alphabets)
         if keys > MAX_JOIN_ENTRIES:
-            return DistanceResult(None, cap, w - 1, WORK_LIMIT, keys)
-    return DistanceResult(None, cap, cap, CAP)
+            reach, predicted = w - 1, keys
+            break
+    span_rows = red.matrix[: red.rank]
+    d = _kernels.normalizer_min_weight(code.matrix, span_rows, red.pivots, n, reach, alphabets)
+    if d:
+        return DistanceResult(d, cap, d)
+    if predicted is None:
+        return DistanceResult(None, cap, cap, CAP)
+    return DistanceResult(None, cap, reach, WORK_LIMIT, predicted)

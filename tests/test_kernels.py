@@ -118,13 +118,14 @@ def test_normalizer_min_weight_cap_returns_zero():
         assert _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, d) == d
 
 
-# the search as it runs, with every join a single split point, and with no
-# subset table kept, every row built and probed one at a time and a 2-bit
-# join key, so that most generators are folded into the key, keys collide and
-# the joined pairs must be checked against them exactly
+# the search as it runs (on these small codes, mostly unmasked joins), with
+# every join a single split point behind a hash mask, and with no subset
+# table kept, every row built and probed one at a time and a 2-bit join key,
+# so that most generators are folded into the key, keys collide and the
+# joined pairs must be checked against them exactly
 PATCHES = (
     {},
-    {"_GROUP_KEYS": 0},
+    {"_GROUP_KEYS": 0, "_MASK_PROBE": 0},
     {"_TABLE_ENTRIES": 0, "_BLOCK_KEYS": 0, "_KEY_BITS": 2},
 )
 

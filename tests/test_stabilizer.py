@@ -538,6 +538,15 @@ def test_is_css_named_codes():
     assert not is_css(load_stabilizer(data_path("five_one.stab")))
 
 
+def test_is_css_counts_the_group_not_the_generator_list():
+    # five_one's generators listed twice: m = 8, but the group still has
+    # rank 4 and rank(X) = rank(Z) = 4, so it is not CSS and d stays 3
+    code = load_stabilizer(data_path("five_one.stab"))
+    doubled = StabilizerCode(np.vstack([code.matrix, code.matrix]), code.n)
+    assert not is_css(doubled)
+    assert quantum_distance(doubled).value == 3
+
+
 def test_quantum_distance_surface_d7_exact():
     t0 = time.perf_counter()
     res = quantum_distance(rotated_surface_code(7))
