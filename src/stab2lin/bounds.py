@@ -9,7 +9,7 @@ figures while the data stays honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2, sqrt
+from math import isfinite, log2, sqrt
 from typing import Callable, Iterator
 
 LOG2_3 = log2(3.0)
@@ -117,11 +117,14 @@ def curves_for(channel: str) -> list[BoundCurve]:
 
 def grid(delta_from: float, delta_to: float, step: float) -> list[float]:
     """Inclusive arithmetic grid; endpoints snapped against float dust."""
+    for name, value in (("from", delta_from), ("to", delta_to), ("step", step)):
+        if not isfinite(value):
+            raise ValueError(f"grid '{name}' must be finite, got {value}")
     if not step > 0:
         raise ValueError("step must be positive")
     if delta_to < delta_from:
         raise ValueError("empty grid: to < from")
-    if not (delta_to - delta_from) / step < MAX_GRID_POINTS:  # also NaN, inf
+    if not (delta_to - delta_from) / step < MAX_GRID_POINTS:  # also inf, from a tiny step
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points; raise the step")
     points = []
     i = 0

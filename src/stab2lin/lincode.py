@@ -14,10 +14,11 @@ over the 2^(n-k) syndromes:
   its weight equals the leader weight of its syndrome; otherwise each trial
   is decoded against the 2^k codewords.  There, a trial with 2 wt(e) <= d
   (bounded-distance decoding) succeeds without a comparison, and the others
-  cost 2^k comparisons each; a run predicted above MAX_MC_COMPARISONS is
-  refused.  Per-trial randomness is a pure function of (seed, trial index),
-  drawn as one packed stream, so the count does not depend on batching,
-  scheduling or which path ran.
+  cost 2^k comparisons each.  A run predicted to draw more trial bits plus
+  trial-codeword comparisons than MAX_MC_WORK is refused.  Per-trial
+  randomness is a pure function of (seed, trial index), drawn as one packed
+  stream, so the count does not depend on batching, scheduling or which path
+  ran.
 """
 
 from __future__ import annotations
@@ -33,9 +34,12 @@ K_ENUM_LIMIT = 28  # 2^k codeword sweeps
 NK_EXACT_LIMIT = 23  # 2^(n-k) coset-leader tables
 K_TABLE_LIMIT = 24  # in-memory codeword tables for decoding
 _CHUNK = 1 << 20  # array elements per frontier chunk in _leaders_by_search
-# bsc_monte_carlo refuses a codeword-path run predicted to compare more
-# trial-codeword pairs than this: 30-40 s at the measured 1.5-2 ns per pair.
-MAX_MC_COMPARISONS = 2 * 10**10
+# bsc_monte_carlo refuses a run predicted to draw more trial bits (trials * n)
+# plus trial-codeword comparisons than this.  Measured on one core, a trial bit
+# costs 5-13 ns for n >= 3 and up to 26 ns at n = 1, where the per-trial
+# overhead dominates; a comparison costs 1.5-2 ns.  So no accepted run passes
+# about 50 s.
+MAX_MC_WORK = 2 * 10**9
 
 
 @dataclass(frozen=True)
@@ -278,30 +282,33 @@ def bsc_monte_carlo(
     path), flips bits independently with probability delta, and counts trials
     whose decode returns message 0.  Decodes by syndrome lookup when
     n - k <= k (and n - k <= NK_EXACT_LIMIT), against the codeword table
-    otherwise; both give the same count.  The codeword path compares about
-    trials * P[wt(e) > d/2] * 2^k trial-codeword pairs; above
-    MAX_MC_COMPARISONS it raises ValueError before decoding.
+    otherwise; both give the same count.  Every run draws trials * n bits,
+    and the codeword path also compares about trials * P[wt(e) > d/2] * 2^k
+    trial-codeword pairs; a run whose sum is above MAX_MC_WORK raises
+    ValueError before decoding.
     """
     delta = _check_delta(delta)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if g.n - g.k <= min(g.k, NK_EXACT_LIMIT):
+    lookup = g.n - g.k <= min(g.k, NK_EXACT_LIMIT)
+    compared, work, hint = 0.0, f"draw {trials * g.n:.2g} trial bits", ""
+    if not lookup:
+        codewords = codeword_table(g)
+        d = _kernels.min_row_weight(codewords, g.n)
+        compared = trials * _hard_fraction(g.n, d, delta) * len(codewords)
+        work += f" and compare about {compared:.2g} trial-codeword pairs (d = {d})"
+        hint = f", or a code with n - k <= min(k, {NK_EXACT_LIMIT}), decoded by syndrome lookup"
+    if trials * g.n + compared > MAX_MC_WORK:
+        raise ValueError(
+            f"Monte Carlo would {work}, above the limit {MAX_MC_WORK:.0e}; use fewer trials{hint}"
+        )
+    if lookup:
         table = coset_leaders(g)
         succ = _kernels.leader_trial_successes(
             table.syndrome_cols, table.min_weight, g.n, delta, trials, seed
         )
     else:
-        table = codeword_table(g)
-        d = _kernels.min_row_weight(table, g.n)
-        work = trials * _hard_fraction(g.n, d, delta) * len(table)
-        if work > MAX_MC_COMPARISONS:
-            raise ValueError(
-                f"Monte Carlo would compare about {work:.2g} trial-codeword pairs "
-                f"(trials * P[wt(e) > d/2] * 2^k, with d = {d}), above the limit "
-                f"{MAX_MC_COMPARISONS:.0e}; use fewer trials, or a code with "
-                f"n - k <= min(k, {NK_EXACT_LIMIT}), which is decoded by syndrome lookup"
-            )
-        succ = _kernels.bsc_trial_successes(table, g.n, delta, trials, seed)
+        succ = _kernels.bsc_trial_successes(codewords, g.n, delta, trials, seed)
     p = succ / trials
     return ChannelReport(
         delta=delta,

@@ -161,10 +161,9 @@ def test_emit_curves_clamps_raw():
 def test_grid_size_guard():
     assert len(B.grid(0.0, 1.0, 1.0000001e-6)) == B.MAX_GRID_POINTS
     for args in ((0.0, 1.0, 1e-6), (0.0, float("inf"), 0.1), (float("nan"), 1.0, 0.1),
-                 (0.0, float("nan"), 0.1), (0.0, 1.0, float("nan"))):
+                 (0.0, float("nan"), 0.1), (0.0, 1.0, float("nan")), (0.0, 1.0, float("inf"))):
         with pytest.raises(ValueError):
             B.grid(*args)
-
 
 def test_emit_curves_invalid_grid():
     with pytest.raises(ValueError):

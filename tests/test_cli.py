@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stab2lin import _kernels, cli, stabilizer
+from stab2lin import _kernels, bounds, cli, stabilizer
 from stab2lin.cli import main
 
 from util import data_path, random_code, rotated_surface_code
@@ -47,9 +47,11 @@ def test_validate_empty_file_parse_error(tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize(
-    "argv", [("validate", "bad.stab"), ("distance", "bad.gmat", "--classical")]
-)
+@pytest.mark.parametrize("argv", [
+    ("validate", "bad.stab"),
+    ("distance", "bad.gmat", "--classical"),
+    ("simulate", "bad.gmat", "--delta", "0.1"),
+])
 def test_non_utf8_file_parse_error(tmp_path, argv):
     f = tmp_path / argv[1]
     f.write_bytes(b"# comment\n\xff\n")
@@ -131,8 +133,9 @@ def test_extract_ensure_r_not_minimal_note_on_stderr(tmp_path, monkeypatch):
     assert res.exit_code == 0
     assert "not proven minimal" in res.stderr
     assert "not proven minimal" not in res.stdout
-    payload = json.loads(run("extract", f, "--ensure-r", "--json").stdout)
-    assert payload["ensure_r_minimal"] is False
+    res = run("extract", f, "--ensure-r", "--json")
+    assert json.loads(res.stdout)["ensure_r_minimal"] is False
+    assert "not proven minimal" in res.stderr
 
 
 @pytest.mark.parametrize("name, reductions, validations", [
@@ -175,17 +178,31 @@ def test_standardize_writes_output_file(tmp_path):
     assert len(rows) == 5
 
 
-@pytest.mark.parametrize("argv", [
+OUT_COMMANDS = [
     ("standardize", data_path("eight_three.stab")),
     ("extract", data_path("eight_three.stab")),
     ("bounds", "--channel", "adversarial"),
-])
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
 def test_unwritable_output_is_a_usage_error(tmp_path, argv):
     out = tmp_path / "no-such-dir" / "out.txt"
-    res = run(*argv, "-o", out)
-    assert res.exit_code == 2
-    assert isinstance(res.exception, SystemExit)
-    assert f"error: cannot write {out}: No such file or directory" in res.stderr
+    for as_json in ((), ("--json",)):
+        res = run(*argv, *as_json, "-o", out)
+        assert res.exit_code == 2, as_json
+        assert isinstance(res.exception, SystemExit)
+        assert f"error: cannot write {out}: No such file or directory" in res.stderr
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_json_goes_to_output_file(tmp_path, argv):
+    out = tmp_path / "report.json"
+    res = run(*argv, "--json", "-o", out)
+    assert res.exit_code == 0
+    assert res.stdout == ""
+    assert out.read_text() == run(*argv, "--json").stdout
+    json.loads(out.read_text())
 
 
 def test_standardize_invalid_input():
@@ -247,7 +264,7 @@ def test_distance_quantum_k_zero_undefined():
     assert res.output.strip() == "no logical operators (k = 0); distance undefined"
     payload = json.loads(run("distance", data_path("single_z.stab"), "--quantum", "--json").stdout)
     assert payload["distance"] is None and payload["exceeded"] is False
-    assert payload["stopped_by"] is None
+    assert payload["stopped_by"] is None and payload["predicted_keys"] is None
 
 
 def test_distance_quantum_work_limit(tmp_path, monkeypatch):
@@ -262,6 +279,7 @@ def test_distance_quantum_work_limit(tmp_path, monkeypatch):
     payload = json.loads(run("distance", path, "--quantum", "--json").stdout)
     assert payload["stopped_by"] == "work-limit" and payload["searched"] == 4
     assert payload["distance"] is None and payload["exceeded"] is False
+    assert payload["predicted_keys"] == 2 * _kernels.join_entries(25, 5, 1)
 
 
 def test_distance_quantum_cap_json():
@@ -269,6 +287,7 @@ def test_distance_quantum_cap_json():
     payload = json.loads(res.stdout)
     assert payload["exceeded"] is True and payload["stopped_by"] == "cap"
     assert (payload["distance"], payload["cap"], payload["searched"]) == (None, 2, 2)
+    assert payload["predicted_keys"] is None
 
 
 def test_distance_quantum_invalid_code_exit_one():
@@ -286,6 +305,26 @@ def test_distance_cap_below_one_exit_two():
 def test_distance_classical():
     res = run("distance", data_path("seven_three.gmat"), "--classical")
     assert res.output.strip() == "d=4 t=1"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("11\n11\n", "generator rows must be independent"),
+    ("000\n", "generator rows must be independent"),
+    ("1\n0\n", "k must not exceed n"),
+])
+@pytest.mark.parametrize("argv", [
+    ("distance", "--classical"),
+    ("simulate", "--delta", "0.1"),
+    ("simulate", "--delta", "0.1", "--exact"),
+])
+def test_gmat_that_is_not_a_code_exit_one(tmp_path, argv, text, message):
+    # the file parses, but its rows do not generate an (n, k) code
+    path = tmp_path / "bad.gmat"
+    path.write_text(text)
+    res = run(argv[0], path, *argv[1:])
+    assert res.exit_code == 1
+    assert res.stderr == f"error: {message}\n"
+    assert res.stdout == ""
 
 
 def test_distance_requires_mode():
@@ -350,6 +389,21 @@ def test_simulate_monte_carlo_work_guard_exit_one(tmp_path):
     assert "fewer trials" in res.output and "syndrome lookup" in res.output
 
 
+@pytest.mark.parametrize("rows", [
+    "1110100\n1101010\n1011001\n",  # (7,3), n - k > k: the codeword path
+    "100110\n010101\n001011\n",  # (6,3), n - k <= k: the syndrome path
+])
+def test_simulate_whole_run_guard_exit_one(tmp_path, rows):
+    # 10^12 trials draw 6-7e12 trial bits: refused up front on either path
+    path = tmp_path / "code.gmat"
+    path.write_text(rows)
+    start = time.perf_counter()
+    res = run("simulate", path, "--delta", "0.05", "--trials", 10**12)
+    assert time.perf_counter() - start < 5
+    assert res.exit_code == 1
+    assert "trial bits" in res.stderr and "fewer trials" in res.stderr
+
+
 def test_verify_phi_passes():
     res = run("verify-phi", data_path("eight_three.stab"))
     assert res.exit_code == 0
@@ -395,7 +449,7 @@ def test_bounds_output_file_and_json(tmp_path):
     out = tmp_path / "curves.csv"
     res = run("bounds", "--channel", "depolarizing", "-o", out)
     assert res.exit_code == 0
-    assert out.read_text().startswith("delta,curve,raw,clamped\n")
+    assert out.read_text() == bounds.emit_curves("depolarizing", 0.0, 0.25, 0.01)
     jres = run("bounds", "--channel", "depolarizing", "--json", "--to", "0.1",
                "--step", "0.05")
     payload = json.loads(jres.stdout)
@@ -406,6 +460,12 @@ def test_bounds_output_file_and_json(tmp_path):
 def test_bounds_invalid_grid_exit_two():
     res = run("bounds", "--channel", "adversarial", "--step", "0")
     assert res.exit_code == 2
+    for flag, value in (("--from", "nan"), ("--to", "inf"), ("--from", "-inf"),
+                        ("--step", "inf"), ("--step", "nan")):
+        for extra in ((), ("--json",)):
+            res = run("bounds", "--channel", "adversarial", flag, value, *extra)
+            assert res.exit_code == 2, (flag, value)
+            assert f"grid '{flag[2:]}' must be finite" in res.stderr, (flag, value)
 
 
 def test_bounds_oversized_grid_exit_two():

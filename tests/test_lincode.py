@@ -264,14 +264,25 @@ def test_monte_carlo_work_guard_refuses_before_decoding():
 
 
 def test_monte_carlo_work_guard_refuses_only_above_its_limit(g73):
-    # (7,3) takes the codeword path, 2^3 codewords per compared trial
+    # (7,3) takes the codeword path: 7 trial bits per trial, plus 2^3
+    # codewords per compared trial
     d = _kernels.min_row_weight(codeword_table(g73), 7)
-    work = 5000 * lincode._hard_fraction(7, d, 0.2) * 8
-    with mock.patch.object(lincode, "MAX_MC_COMPARISONS", work):
+    work = 5000 * 7 + 5000 * lincode._hard_fraction(7, d, 0.2) * 8
+    with mock.patch.object(lincode, "MAX_MC_WORK", work):
         assert bsc_monte_carlo(g73, 0.2, 5000, 1).trials == 5000
-    with mock.patch.object(lincode, "MAX_MC_COMPARISONS", math.nextafter(work, 0)):
+    with mock.patch.object(lincode, "MAX_MC_WORK", math.nextafter(work, 0)):
         with pytest.raises(ValueError, match="fewer trials"):
             bsc_monte_carlo(g73, 0.2, 5000, 1)
+
+
+def test_monte_carlo_work_guard_counts_trial_bits_on_the_syndrome_path():
+    # (6,3) takes the syndrome path: its work is the 6 trial bits per trial
+    g = GeneratorMatrix(np.array([[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]]))
+    with mock.patch.object(lincode, "MAX_MC_WORK", 6 * 5000):
+        assert bsc_monte_carlo(g, 0.2, 5000, 1).trials == 5000
+        with mock.patch.object(_kernels, "leader_trial_successes", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="draw 3e\\+04 trial bits.*fewer trials$"):
+                bsc_monte_carlo(g, 0.2, 5001, 1)
 
 
 def test_hard_fraction_is_the_binomial_tail():
