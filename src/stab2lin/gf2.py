@@ -105,15 +105,11 @@ def nullspace(m: np.ndarray) -> np.ndarray:
     Returns a ``(cols - rank) x cols`` matrix N with ``m @ N.T = 0`` and
     independent rows, derived from the RREF free columns (deterministic).
     """
-    m = as_bits(m, copy=False)
     r = rref(m)
-    rows, cols = m.shape
-    free = [c for c in range(cols) if c not in set(r.pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, p in enumerate(r.pivots):
-            basis[row, p] = r.matrix[i, f]
+    free = np.ones(r.matrix.shape[1], dtype=bool)
+    free[r.pivots] = False
+    basis = np.eye(len(free), dtype=np.uint8)[free]
+    basis[:, r.pivots] = r.matrix[: r.rank, free].T
     return basis
 
 

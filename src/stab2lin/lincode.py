@@ -33,7 +33,7 @@ from . import _kernels, gf2
 K_ENUM_LIMIT = 28  # 2^k codeword sweeps
 NK_EXACT_LIMIT = 23  # 2^(n-k) coset-leader tables
 K_TABLE_LIMIT = 24  # in-memory codeword tables for decoding
-_CHUNK = 1 << 20  # array elements per frontier chunk in _leaders_by_search
+_CHUNK = 1 << 20  # array elements per frontier chunk of the leader search
 # bsc_monte_carlo refuses a run predicted to draw more trial bits (trials * n)
 # plus trial-codeword comparisons than this.  Measured on one core, a trial bit
 # costs 5-13 ns for n >= 3 and up to 26 ns at n = 1, where the per-trial
@@ -137,11 +137,13 @@ def coset_leaders(g: GeneratorMatrix) -> CosetLeaders:
     """Coset-leader table of ``g``, in O(min(n, 2^k) * 2^(n-k)) time and
     O(2^(n-k)) memory.
 
-    Codes with 2^k <= 20n sweep their codewords over a byte grid of all
-    syndromes; every other code is filled by a breadth-first search over the
-    parity checks.  Both give the same table.  On tables of 2^14 to 2^23
-    syndromes, one search step (a syndrome and a column) costs about as much
-    as 20 grid steps (a syndrome and a codeword).
+    Codes with 2^k (2^(n-k) + 6000) <= 20n 2^(n-k) sweep their codewords
+    over a byte grid of all syndromes; every other code is filled by a
+    breadth-first search over the parity checks.  Both give the same table.
+    On tables of 2^14 to 2^23 syndromes, one search step (a syndrome and a
+    column) costs about as much as 20 grid steps (a syndrome and a
+    codeword), and each codeword adds a fixed cost of about 6000 grid steps
+    (its numpy calls), which decides small tables.
     """
     n, nk = g.n, g.n - g.k
     if nk > NK_EXACT_LIMIT:
@@ -152,28 +154,28 @@ def coset_leaders(g: GeneratorMatrix) -> CosetLeaders:
     # Leader weights never exceed n - k; w * count[s] must fit in an int64.
     if max((w * comb(n, w) for w in range(1, nk + 1)), default=0) >= 1 << 63:
         raise ValueError(f"n = {n} is too long for 64-bit leader counts at n - k = {nk}")
-    cols = np.array(gf2.to_ints(gf2.nullspace(g.rows).T), dtype=np.int64)
-    if 1 << g.k <= 20 * n:
+    cols = _syndrome_cols(g)
+    if (1 << g.k) * ((1 << nk) + 6000) <= (20 * n) << nk:
         min_weight, count = _leaders_by_codewords(codeword_table(g), cols, n, nk)
     else:
-        min_weight, count = _leaders_by_search(cols, n, nk)
+        min_weight = _leader_weights(cols, nk)
+        count = _leader_counts(cols, min_weight)
     return CosetLeaders(syndrome_cols=cols, min_weight=min_weight, count=count)
 
 
-def _leaders_by_search(cols: np.ndarray, n: int, nk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weight-ordered breadth-first search from syndrome 0 over the columns.
+def _syndrome_cols(g: GeneratorMatrix) -> np.ndarray:
+    """The syndrome of each single-bit error e_j, bit i being parity check i."""
+    return np.array(gf2.to_ints(gf2.nullspace(g.rows).T), dtype=np.int64)
 
-    Level w holds the syndromes first reached in w steps.  Each leader of a
-    weight-w coset s, minus any one of its w bits j, is a leader of the
-    weight-(w-1) coset s ^ h_j; conversely no leader of such a coset contains
-    bit j, or s would have weight w-2.  So
-    ``w * count[s] = sum_j [min_weight[s ^ h_j] == w-1] * count[s ^ h_j]``.
-    The frontier is expanded a bounded chunk at a time.
-    """
+
+def _leader_weights(cols: np.ndarray, nk: int) -> np.ndarray:
+    """Leader weight of every syndrome, by a weight-ordered breadth-first
+    search from syndrome 0 over the columns: level w holds the syndromes
+    first reached in w steps.  The frontier is expanded a bounded chunk at a
+    time."""
     min_weight = np.full(1 << nk, -1, dtype=np.int8)
-    count = np.zeros(1 << nk, dtype=np.int64)
-    min_weight[0], count[0] = 0, 1
-    step = max(1, _CHUNK // n)
+    min_weight[0] = 0
+    step = max(1, _CHUNK // len(cols))
     frontier = np.zeros(1, dtype=np.int64)
     w = 0
     while frontier.size:
@@ -182,12 +184,28 @@ def _leaders_by_search(cols: np.ndarray, n: int, nk: int) -> tuple[np.ndarray, n
             nb = cols[:, None] ^ frontier[lo : lo + step]
             min_weight[nb[min_weight[nb] < 0]] = w
         frontier = np.flatnonzero(min_weight == w)
+    return min_weight
+
+
+def _leader_counts(cols: np.ndarray, min_weight: np.ndarray) -> np.ndarray:
+    """Leader count of every syndrome, level by level of the search.
+
+    Each leader of a weight-w coset s, minus any one of its w bits j, is a
+    leader of the weight-(w-1) coset s ^ h_j; conversely no leader of such a
+    coset contains bit j, or s would have weight w-2.  So
+    ``w * count[s] = sum_j [min_weight[s ^ h_j] == w-1] * count[s ^ h_j]``.
+    """
+    count = np.zeros(min_weight.size, dtype=np.int64)
+    count[0] = 1
+    step = max(1, _CHUNK // len(cols))
+    for w in range(1, int(min_weight.max()) + 1):
+        frontier = np.flatnonzero(min_weight == w)
         for lo in range(0, frontier.size, step):
             s = frontier[lo : lo + step]
             nb = cols[:, None] ^ s
             pulled = np.where(min_weight[nb] == w - 1, count[nb], 0)
             count[s] = pulled.sum(axis=0) // w
-    return min_weight, count
+    return count
 
 
 def _leaders_by_codewords(
@@ -285,28 +303,32 @@ def bsc_monte_carlo(
     otherwise; both give the same count.  Every run draws trials * n bits,
     and the codeword path also compares about trials * P[wt(e) > d/2] * 2^k
     trial-codeword pairs; a run whose sum is above MAX_MC_WORK raises
-    ValueError before decoding.
+    ValueError before decoding.  The trial bits are checked first, so a run
+    they already rule out builds no codeword table (which d needs) and is
+    told only to use fewer trials.  The syndrome path reads only the leader
+    weights, so it computes no leader counts and has no limit on n beyond
+    the work.
     """
     delta = _check_delta(delta)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     lookup = g.n - g.k <= min(g.k, NK_EXACT_LIMIT)
-    compared, work, hint = 0.0, f"draw {trials * g.n:.2g} trial bits", ""
-    if not lookup:
+    predicted, work, hint = trials * g.n, f"draw {trials * g.n:.2g} trial bits", ""
+    if not lookup and predicted <= MAX_MC_WORK:
         codewords = codeword_table(g)
         d = _kernels.min_row_weight(codewords, g.n)
         compared = trials * _hard_fraction(g.n, d, delta) * len(codewords)
+        predicted += compared
         work += f" and compare about {compared:.2g} trial-codeword pairs (d = {d})"
         hint = f", or a code with n - k <= min(k, {NK_EXACT_LIMIT}), decoded by syndrome lookup"
-    if trials * g.n + compared > MAX_MC_WORK:
+    if predicted > MAX_MC_WORK:
         raise ValueError(
             f"Monte Carlo would {work}, above the limit {MAX_MC_WORK:.0e}; use fewer trials{hint}"
         )
     if lookup:
-        table = coset_leaders(g)
-        succ = _kernels.leader_trial_successes(
-            table.syndrome_cols, table.min_weight, g.n, delta, trials, seed
-        )
+        cols = _syndrome_cols(g)
+        weights = _leader_weights(cols, g.n - g.k)
+        succ = _kernels.leader_trial_successes(cols, weights, g.n, delta, trials, seed)
     else:
         succ = _kernels.bsc_trial_successes(codewords, g.n, delta, trials, seed)
     p = succ / trials

@@ -35,13 +35,11 @@ def parse_pauli(text: str) -> np.ndarray:
         text = text[1:]
     if not text:
         raise PauliParseError("empty Pauli string", 1)
-    ab = np.zeros((2, len(text)), dtype=np.uint8)
-    for i, ch in enumerate(text):
-        bits = _CHAR_TO_BITS.get(ch.upper())
-        if bits is None:
-            raise PauliParseError(f"invalid symbol {ch!r}", i + 1)
-        ab[:, i] = bits
-    return ab.reshape(-1)
+    bits = [_CHAR_TO_BITS.get(ch.upper()) for ch in text]
+    if None in bits:
+        i = bits.index(None)
+        raise PauliParseError(f"invalid symbol {text[i]!r}", i + 1)
+    return np.array(bits, dtype=np.uint8).T.reshape(-1)
 
 
 def pauli_string(row: np.ndarray) -> str:

@@ -114,13 +114,10 @@ class ValidationReport:
 
 def validate(code: StabilizerCode) -> ValidationReport:
     """Report every non-commuting row pair and whether rows are independent."""
-    pairs = []
-    if code.m:
-        prods = symplectic_product_rows(code.matrix)
-        for i in range(code.m):
-            for j in range(i + 1, code.m):
-                if prods[i, j]:
-                    pairs.append((i, j))
+    # the Gram matrix is symmetric: keep each pair once, as (i, j) with i < j
+    i, j = np.nonzero(symplectic_product_rows(code.matrix))
+    upper = i < j
+    pairs = list(zip(i[upper].tolist(), j[upper].tolist()))
     return ValidationReport(code.n, code.m, pairs, gf2.rank(code.matrix))
 
 

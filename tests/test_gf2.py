@@ -117,6 +117,29 @@ def test_nullspace_orthogonal_and_full():
             assert gf2.rank(ns) == ns.shape[0]
 
 
+def nullspace_by_entries(m):
+    """Oracle: the nullspace basis written one entry at a time, free column f
+    of rref(m) giving the row with 1 at f and rref(m)[i, f] at pivot i."""
+    r = gf2.rref(m)
+    cols = r.matrix.shape[1]
+    free = [c for c in range(cols) if c not in r.pivots]
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    for row, f in enumerate(free):
+        basis[row, f] = 1
+        for i, p in enumerate(r.pivots):
+            basis[row, p] = r.matrix[i, f]
+    return basis
+
+
+@given(st.integers(0, 7), st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_nullspace_matches_entrywise_construction(rows, cols, seed, density):
+    m = (np.random.default_rng(seed).random((rows, cols)) < density).astype(np.uint8)
+    got, want = gf2.nullspace(m), nullspace_by_entries(m)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def test_list_and_int64_inputs():
     # copy=False must still convert input that is not a uint8 array
     assert gf2.rank([[1, 0], [0, 1], [1, 1]]) == 2

@@ -1,4 +1,5 @@
 import math
+import time
 from math import comb
 from unittest import mock
 
@@ -285,6 +286,27 @@ def test_monte_carlo_work_guard_counts_trial_bits_on_the_syndrome_path():
                 bsc_monte_carlo(g, 0.2, 5001, 1)
 
 
+def test_monte_carlo_refuses_on_trial_bits_before_the_codeword_table():
+    # (50,24) takes the codeword path, but 5e13 trial bits are over the limit
+    # before any comparison is counted, so its 2^24-row table is never built
+    g = random_code(50, 24, 0, False, False)
+    with mock.patch.object(lincode, "codeword_table", side_effect=AssertionError):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"draw 5e\+13 trial bits, above the limit 2e\+09; use fewer trials$"):
+            bsc_monte_carlo(g, 0.1, 10**12, 0)
+        assert time.perf_counter() - start < 0.05
+
+
+def test_monte_carlo_syndrome_path_runs_long_high_rate_codes():
+    # leader counts of a (90,72) code overflow int64, and the exact channel
+    # refuses it; Monte Carlo reads only the 2^18 leader weights
+    g = random_code(90, 72, 0, False, False)
+    with pytest.raises(ValueError, match="64-bit"):
+        coset_leaders(g)
+    rep = bsc_monte_carlo(g, 0.01, 1000, 0)
+    assert rep.trials == 1000 and 0.9 < rep.success_probability <= 1.0
+
+
 def test_hard_fraction_is_the_binomial_tail():
     for n, d, delta in ((7, 3, 0.2), (7, 4, 0.2), (24, 6, 0.05), (50, 9, 0.5), (30, 1, 0.0)):
         tail = sum(comb(n, w) * delta**w * (1 - delta) ** (n - w) for w in range(n + 1) if 2 * w > d)
@@ -392,9 +414,10 @@ def test_histogram_matches_decode_classification(g):
 @with_edge_codes()
 @example(random_code(7, 6, 4, False, False))  # n - k = 1: the grid's low half is empty
 @example(random_code(14, 5, 5, True, False))  # odd n - k = 9
-# the largest k that 2^k <= 20n sends to the grid at n = 16, where counts up
-# to 2^8 no longer fit in 8 bits: eight disjoint pairs, where e with one bit
-# in every pair is at distance 8 from all 256 codewords, and a random code
+# k = 8, where counts up to 2^8 no longer fit in 8 bits (coset_leaders puts
+# k = 8 on the grid from n - k = 14 up): eight disjoint pairs, where e with
+# one bit in every pair is at distance 8 from all 256 codewords, and a random
+# code
 @example(GeneratorMatrix(np.kron(np.eye(8, dtype=np.uint8), np.ones((1, 2), np.uint8))))
 @example(random_code(16, 8, 6, False, True))
 @given(codes())
@@ -403,7 +426,8 @@ def test_coset_leader_fills_match_pattern_sweep(g):
     table = coset_leaders(g)
     minw, count = pattern_sweep_table(g, table.syndrome_cols)
     nk = g.n - g.k
-    by_search = lincode._leaders_by_search(table.syndrome_cols, g.n, nk)
+    weights = lincode._leader_weights(table.syndrome_cols, nk)
+    by_search = weights, lincode._leader_counts(table.syndrome_cols, weights)
     by_codewords = lincode._leaders_by_codewords(codeword_table(g), table.syndrome_cols, g.n, nk)
     for got_w, got_c in ((table.min_weight, table.count), by_search, by_codewords):
         assert got_w.dtype == np.int8 and got_c.dtype == np.int64
@@ -427,7 +451,34 @@ def test_monte_carlo_paths_agree(g, seed, trials, delta):
     )
     by_codeword = _kernels.bsc_trial_successes(codeword_table(g), g.n, delta, trials, seed)
     assert by_syndrome == by_codeword
-    rep = bsc_monte_carlo(g, delta, trials, seed)
+    # Monte Carlo fills the leader weights alone, on either fill's shapes
+    with mock.patch.object(lincode, "_leader_counts", side_effect=AssertionError):
+        with mock.patch.object(lincode, "_leaders_by_codewords", side_effect=AssertionError):
+            rep = bsc_monte_carlo(g, delta, trials, seed)
     assert rep.success_probability == by_syndrome / trials
     if delta == 0.0:
         assert by_syndrome == trials
+
+
+# (n, k, fill): the grid's fixed cost per codeword sends small tables with
+# many codewords to the search; the channel-lowrate shapes and the (13,1)
+# code extracted from rotated surface d = 5 stay on the grid
+FILL_SHAPES = [(17, 7, "search"), (18, 8, "search"), (20, 8, "search"), (13, 1, "grid")] + [
+    (n, k, "grid") for n in range(20, 25) for k in (5, 6)
+]
+
+
+@pytest.mark.parametrize("n, k, fill", FILL_SHAPES)
+def test_coset_leaders_fill_choice(n, k, fill):
+    g = random_code(n, k, 0, False, False)
+    size = 1 << (n - k)
+    weights = np.zeros(size, np.int8)
+    counts = np.zeros(size, np.int64)
+    with (
+        mock.patch.object(lincode, "_leaders_by_codewords", return_value=(weights, counts)) as grid,
+        mock.patch.object(lincode, "_leader_weights", return_value=weights) as by_weight,
+        mock.patch.object(lincode, "_leader_counts", return_value=counts) as by_count,
+    ):
+        coset_leaders(g)
+    assert grid.called == (fill == "grid")
+    assert by_weight.called == by_count.called == (fill == "search")

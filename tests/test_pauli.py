@@ -27,6 +27,7 @@ def test_parse_worked_example():
 def test_parse_identity_and_y():
     assert not parse_pauli("IIII").any() and len(parse_pauli("IIII")) == 8
     assert list(parse_pauli("Y")) == [1, 1]
+    assert np.array_equal(parse_pauli("xyzi"), parse_pauli("XYZI"))
 
 
 def test_parse_plus_prefix():
@@ -40,10 +41,29 @@ def test_parse_invalid_symbol_position():
 
 
 def test_parse_empty():
-    with pytest.raises(PauliParseError):
-        parse_pauli("")
-    with pytest.raises(PauliParseError):
-        parse_pauli("+")
+    for text in ("", "+"):
+        with pytest.raises(PauliParseError) as exc:
+            parse_pauli(text)
+        assert exc.value.position == 1
+        assert str(exc.value) == "empty Pauli string at position 1"
+
+
+@pytest.mark.parametrize(
+    "text, position, symbol",
+    [
+        ("xqz", 2, "'q'"),  # 'x' and 'z' are accepted in lower case
+        ("+XQ", 2, "'Q'"),  # counted after the leading '+'
+        ("++X", 1, "'+'"),
+        ("Xß", 2, "'ß'"),  # its upper case is 'SS', two characters
+        ("ßQ", 1, "'ß'"),
+        ("XYßZQ", 3, "'ß'"),  # the first bad symbol is reported
+    ],
+)
+def test_parse_error_positions(text, position, symbol):
+    with pytest.raises(PauliParseError) as exc:
+        parse_pauli(text)
+    assert exc.value.position == position
+    assert str(exc.value) == f"invalid symbol {symbol} at position {position}"
 
 
 def test_string_roundtrip():

@@ -70,6 +70,26 @@ def test_validate_anticommuting_pair():
     assert rep.independent
 
 
+@given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+@example(3, 0, 0)  # no generators: no pairs
+def test_validate_pairs_match_pairwise_products(n, m, seed):
+    mat = np.random.default_rng(seed).integers(0, 2, size=(m, 2 * n)).astype(np.uint8)
+    rep = validate(StabilizerCode(mat, n))
+    a, b = mat[:, :n].astype(int), mat[:, n:].astype(int)
+    pairs = [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if (a[i] @ b[j] + b[i] @ a[j]) % 2
+    ]
+    assert rep.anticommuting_pairs == pairs
+    # plain int tuples, as the CLI's JSON needs
+    assert all(type(i) is type(j) is int for i, j in rep.anticommuting_pairs)
+    assert all(type(pair) is tuple for pair in rep.anticommuting_pairs)
+    assert (rep.n, rep.m, rep.rank) == (n, m, gf2.rank(mat))
+
+
 def test_validate_dependent_rows():
     code = StabilizerCode.from_paulis(["XX", "XX"])
     rep = validate(code)
