@@ -248,6 +248,7 @@ def _joined(fwd: _SubsetTables, rev: _SubsetTables, h: int, l: int, group, alpha
     keys_s = tab_s.rows(t_s, s0, s1).ravel()
     order = np.argsort(keys_s)
     flat = keys_s[order]
+    del keys_s  # this generator's locals live as long as the join
     masked = max(size_a, size_b) > _MASK_PROBE
     if masked:
         bits = min(_MASK_BITS, flat.size.bit_length() + 4)

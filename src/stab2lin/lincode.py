@@ -125,7 +125,10 @@ class CosetLeaders:
     Bit i of a syndrome is parity check i.  ``syndrome_cols[j]`` is the
     syndrome of the single-bit error e_j, ``min_weight[s]`` the leader weight
     of the coset with syndrome s, and ``count[s]`` the number of patterns of
-    that weight in it.
+    that weight in it.  Each table keeps the width its fill computes:
+    ``min_weight`` is int8, and ``count`` is ``np.min_scalar_type(2^k)`` on
+    the grid fill (at most 2^k codewords reach a leader) and int64 on the
+    search fill.
     """
 
     syndrome_cols: np.ndarray
@@ -235,12 +238,12 @@ def _leaders_by_codewords(
         np.add(hi_row[:, None], lo_row, out=grid)
         np.minimum(min_weight, grid, out=min_weight)
     count = np.zeros(min_weight.shape, dtype=np.min_scalar_type(len(codewords)))
-    tie = np.empty(min_weight.shape, dtype=bool)
+    tie = grid.view(bool)  # the ties overwrite the grid, which the next add refills
     for hi_row, lo_row in zip(his, los):
         np.add(hi_row[:, None], lo_row, out=grid)
         np.equal(grid, min_weight, out=tie)
         count += tie
-    return min_weight.ravel().astype(np.int8), count.ravel().astype(np.int64)
+    return min_weight.ravel().view(np.int8), count.ravel()
 
 
 def correctable_weight_histogram(g: GeneratorMatrix) -> np.ndarray:
@@ -252,7 +255,12 @@ def correctable_weight_histogram(g: GeneratorMatrix) -> np.ndarray:
     """
     table = coset_leaders(g)
     hist = np.zeros(g.n + 1, dtype=np.int64)
-    np.add.at(hist, table.min_weight, table.count)
+    # slices of 2^16 entries: one int64 copy of 512 KB at a time, never one
+    # of the whole table
+    step = _CHUNK // 16
+    for lo in range(0, table.count.size, step):
+        part = slice(lo, lo + step)
+        np.add.at(hist, table.min_weight[part], table.count[part].astype(np.int64, copy=False))
     return hist
 
 

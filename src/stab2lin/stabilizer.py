@@ -453,6 +453,15 @@ def is_css(code: StabilizerCode) -> bool:
     return gf2.rank(mat[:, :n]) + gf2.rank(mat[:, n:]) == gf2.rank(mat)
 
 
+def _join_bound(n: int, w: int, a: int) -> int:
+    """An O(1) upper bound of :func:`_kernels.join_entries`: the keys that one
+    join per split point would list.  Summed over the split points, the A
+    sides list C(n-l, h) a^h keys, as the grouped joins do, and the B sides
+    C(n-h+1, l+1) a^l, at least the one B side per group of the joins."""
+    h, l = (w + 1) // 2, w // 2
+    return comb(n - l, h) * a**h + comb(n - h + 1, l + 1) * a**l
+
+
 def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> DistanceResult:
     """Minimum Pauli weight over vectors commuting with all generators but
     outside the generator row span, searched by increasing weight with the
@@ -469,7 +478,8 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
     ``weight_cap`` defaults to n (exhaustive).  A k = 0 code returns at once
     with an undefined distance.  The search stops before the first weight
     level whose joins are predicted to list more than ``MAX_JOIN_ENTRIES``
-    keys, summed over the alphabets, and reports the lower bound it reached.
+    keys, summed over the alphabets, and reports the lower bound it reached;
+    the exact count is walked only for a level whose bound passes the limit.
     """
     n = code.n
     cap = n if weight_cap is None else min(weight_cap, n)
@@ -479,6 +489,8 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
     alphabets = ("X", "Z") if is_css(code) else ("XYZ",)
     reach, predicted = cap, None
     for w in range(1, cap + 1):
+        if sum(_join_bound(n, w, len(a)) for a in alphabets) <= MAX_JOIN_ENTRIES:
+            continue
         keys = sum(_kernels.join_entries(n, w, len(a)) for a in alphabets)
         if keys > MAX_JOIN_ENTRIES:
             reach, predicted = w - 1, keys

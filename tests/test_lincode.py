@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -423,16 +424,44 @@ def test_histogram_matches_decode_classification(g):
 @given(codes())
 @settings(max_examples=60, deadline=None)
 def test_coset_leader_fills_match_pattern_sweep(g):
-    table = coset_leaders(g)
-    minw, count = pattern_sweep_table(g, table.syndrome_cols)
+    cols = lincode._syndrome_cols(g)
+    minw, count = pattern_sweep_table(g, cols)
+    hist = np.zeros(g.n + 1, dtype=np.int64)
+    np.add.at(hist, minw, count)
     nk = g.n - g.k
-    weights = lincode._leader_weights(table.syndrome_cols, nk)
-    by_search = weights, lincode._leader_counts(table.syndrome_cols, weights)
-    by_codewords = lincode._leaders_by_codewords(codeword_table(g), table.syndrome_cols, g.n, nk)
-    for got_w, got_c in ((table.min_weight, table.count), by_search, by_codewords):
-        assert got_w.dtype == np.int8 and got_c.dtype == np.int64
-        assert np.array_equal(got_w, minw)
-        assert np.array_equal(got_c, count)
+    narrow = np.min_scalar_type(1 << g.k)
+    # a _CHUNK of 16 splits the search frontier and the histogram into many pieces
+    for chunk in (lincode._CHUNK, 16):
+        with mock.patch.object(lincode, "_CHUNK", chunk):
+            table = coset_leaders(g)
+            weights = lincode._leader_weights(cols, nk)
+            by_search = weights, lincode._leader_counts(cols, weights)
+            by_codewords = lincode._leaders_by_codewords(codeword_table(g), cols, g.n, nk)
+            got_hist = correctable_weight_histogram(g)
+        # each fill keeps the width it computes: int8 weights, and counts in
+        # the grid's narrow unsigned dtype or the search's int64
+        assert by_search[1].dtype == np.int64 and by_codewords[1].dtype == narrow
+        assert table.count.dtype in (np.int64, narrow)
+        for got_w, got_c in ((table.min_weight, table.count), by_search, by_codewords):
+            assert got_w.dtype == np.int8
+            assert np.array_equal(got_w, minw)
+            assert np.array_equal(got_c, count)
+        assert got_hist.dtype == np.int64 and np.array_equal(got_hist, hist)
+
+
+def test_exact_channel_peaks_below_four_bytes_per_syndrome():
+    # (26,6) fills its 2^20 syndromes on the grid: the weights, the counts
+    # and the grid take one byte per syndrome each, and no table-length
+    # int64 copy is made
+    g = random_code(26, 6, 0, False, False)
+    with mock.patch.object(lincode, "_leader_counts", side_effect=AssertionError):
+        tracemalloc.start()
+        try:
+            correctable_weight_histogram(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 20, peak / 2**20
 
 
 @with_edge_codes(7, 2000, 0.5)

@@ -502,6 +502,33 @@ def test_quantum_distance_work_limit(monkeypatch):
     assert (res.searched, res.stopped_by) == (3, "cap") and res.exceeded
 
 
+def walked_guard(keys, cap):
+    """Oracle: the work guard by the exact key count of every weight up to
+    ``cap``, ``keys[w]`` being that count; returns (reach, predicted_keys)."""
+    for w in range(1, cap + 1):
+        if keys[w] > stabilizer.MAX_JOIN_ENTRIES:
+            return w - 1, keys[w]
+    return cap, None
+
+
+def test_quantum_distance_guard_walks_only_past_the_bound(monkeypatch):
+    # the O(1) bound skips the exact walk below the limit, so it must never
+    # undercount; a one-generator code keeps the search itself out of it
+    monkeypatch.setattr(_kernels, "normalizer_min_weight", lambda *args: 0)
+    for letter, alphabets in (("Z", ("X", "Z")), ("Y", ("XYZ",))):
+        a = len(alphabets[0])
+        for n in range(2, 101):
+            walk = [_kernels.join_entries(n, w, a) for w in range(1, n + 1)]
+            for w in range(1, n + 1):
+                assert stabilizer._join_bound(n, w, a) >= walk[w - 1], (n, w, a)
+            keys = [None] + [len(alphabets) * k for k in walk]
+            code = StabilizerCode.from_paulis([letter + "I" * (n - 1)])
+            assert is_css(code) == (a == 1)
+            for cap in range(1, n + 1):
+                res = quantum_distance(code, weight_cap=cap)
+                assert (res.searched, res.predicted_keys) == walked_guard(keys, cap), (n, cap, a)
+
+
 def column_added(code, qubit):
     return apply_ops(code, [ElementaryOp(COLUMN_ADDITION, (qubit,))])
 
