@@ -1,10 +1,10 @@
 """Hot enumeration kernels, vectorized with numpy.
 
 - ``codeword_weight_hist``: weight histogram of all 2^k codewords.
-- ``normalizer_min_weight``: the exact quantum distance, by a meet-in-the-
+- ``min_weight_logicals``: the lightest logical operators, by a meet-in-the-
   middle join of single-qubit syndromes, weight by weight, over the Paulis
-  of one or more letter alphabets; ``join_entries`` is the number of keys it
-  lists for one weight and one alphabet size.
+  of one or more letter alphabets, and ``normalizer_min_weight`` their weight;
+  ``join_entries`` counts the keys listed per weight, ``join_reach`` guards it.
 - ``bsc_trial_successes`` and ``leader_trial_successes``: the two Monte Carlo
   decoders for the binary symmetric channel.  Both read one counter-based
   flip stream, ``_trial_errors``, drawn in cache-sized blocks and packed into
@@ -52,7 +52,7 @@ def _popcount_words(packed: np.ndarray) -> np.ndarray:
 
 
 def doubling_table(rows_packed: np.ndarray, upto: int) -> np.ndarray:
-    """All XOR combinations of the first ``upto`` packed rows, 2^upto x words.
+    """The XOR of every subset of the first ``upto`` packed rows, 2^upto x words.
 
     Index bit ``j`` (LSB) selects row ``j``.
     """
@@ -205,9 +205,39 @@ def _split_groups(n: int, h: int, l: int, a: int):
 
 
 def join_entries(n: int, w: int, a: int) -> int:
-    """Keys that :func:`normalizer_min_weight` lists to search weight ``w``
+    """Keys that :func:`min_weight_logicals` lists to search weight ``w``
     with an alphabet of ``a`` letters: both sides of every join."""
     return sum(size_a + size_b for *_, size_a, size_b in _split_groups(n, (w + 1) // 2, w // 2, a))
+
+
+# A search does not start a weight level that lists more join keys than this
+# (join_entries, summed over the alphabets it runs): at about 25 ns per key
+# on one core, no level past about 50 s starts.  The rotated surface code
+# with d=9, a CSS code, lists 5.9e7 keys at w = 9 in its two one-letter
+# joins; over {X, Y, Z} it would list 6.3e9.
+MAX_JOIN_ENTRIES = 2 * 10**9
+
+
+def _join_bound(n: int, w: int, a: int) -> int:
+    """An O(1) upper bound of :func:`join_entries`: the keys that one join per
+    split point would list.  Summed over the split points, the A sides list
+    C(n-l, h) a^h keys, as the grouped joins do, and the B sides
+    C(n-h+1, l+1) a^l, at least the one B side per group of the joins."""
+    h, l = (w + 1) // 2, w // 2
+    return comb(n - l, h) * a**h + comb(n - h + 1, l + 1) * a**l
+
+
+def join_reach(n: int, cap: int, alphabets: tuple[str, ...]) -> tuple[int, int | None]:
+    """(w - 1, keys) for the first weight w <= ``cap`` whose joins over
+    ``alphabets`` list keys > ``MAX_JOIN_ENTRIES``, else (cap, None).  Only a
+    level whose O(1) bound passes the limit has its keys counted exactly."""
+    for w in range(1, cap + 1):
+        if sum(_join_bound(n, w, len(a)) for a in alphabets) <= MAX_JOIN_ENTRIES:
+            continue
+        keys = sum(join_entries(n, w, len(a)) for a in alphabets)
+        if keys > MAX_JOIN_ENTRIES:
+            return w - 1, keys
+    return cap, None
 
 
 def _paulis(pos: np.ndarray, letters: np.ndarray, n: int, alphabet: str) -> np.ndarray:
@@ -276,17 +306,18 @@ def _joined(fwd: _SubsetTables, rev: _SubsetTables, h: int, l: int, group, alpha
         yield _paulis(pos, ia % a**h + ib % a**l * a**h, n, alphabet)
 
 
-def normalizer_min_weight(
+def min_weight_logicals(
     gens: np.ndarray,
     span_rows: np.ndarray,
     span_pivots: np.ndarray,
     n: int,
     cap: int,
     alphabets: tuple[str, ...] = ("XYZ",),
-) -> int:
-    """Minimum weight of a Pauli commuting with all generators but outside
-    their row span, its letters drawn from one of ``alphabets``; 0 when none
-    is found up to ``cap``.
+):
+    """The lightest Paulis that commute with all generators but lie outside
+    their row span, their letters drawn from one of ``alphabets``: yields
+    (w, bit rows) one join block at a time, every block of the least weight
+    w <= ``cap`` that has one, and nothing past that level.
 
     Meet in the middle on syndromes (Stern, "A method for finding codewords
     of small weight", 1988).  A Pauli commutes with every generator iff the
@@ -316,14 +347,24 @@ def normalizer_min_weight(
         tables.append((alphabet, _SubsetTables(syn), _SubsetTables(syn[::-1])))
     for w in range(1, cap + 1):
         h, l = (w + 1) // 2, w // 2
+        found = False
         for alphabet, fwd, rev in tables:
             for group in _split_groups(n, h, l, len(alphabet)):
                 for v in _joined(fwd, rev, h, l, group, alphabet):
                     if unkeyed.size:
                         v = v[~gf2.mat_mul(v, unkeyed).any(axis=1)]
-                    if (gf2.mat_mul(v[:, pivots], span) != v).any():
-                        return w
-    return 0
+                    v = v[(gf2.mat_mul(v[:, pivots], span) != v).any(axis=1)]
+                    if len(v):
+                        found = True
+                        yield w, v
+        if found:
+            return
+
+
+def normalizer_min_weight(gens, span_rows, span_pivots, n, cap, alphabets=("XYZ",)) -> int:
+    """The weight of the first block of :func:`min_weight_logicals`, which
+    searches no further; 0 when no logical weighs up to ``cap``."""
+    return next(min_weight_logicals(gens, span_rows, span_pivots, n, cap, alphabets), (0,))[0]
 
 
 # Draws per block of the flip stream (kept in cache), trials per chunk of the

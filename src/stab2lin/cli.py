@@ -1,5 +1,5 @@
-"""Command-line frontend: validate -> standardize -> extract -> analyze ->
-simulate -> bounds.
+"""Command-line frontend: validate, standardize, extract, distance, simulate,
+verify-phi and bounds.
 
 Exit codes: 0 success, 1 domain failure (invalid code, failed verification),
 2 usage or parse error.  Every command is deterministic for fixed flags and
@@ -41,7 +41,6 @@ out_option = click.option("-o", "out", type=click.Path(dir_okay=False), default=
 ensure_r_option = click.option(
     "--ensure-r", is_flag=True, help="apply the fewest column ops that give r >= 1"
 )
-NOT_MINIMAL = "ensure-r ops not proven minimal (subset search capped)"
 
 
 def _fail(message: str, code: int):
@@ -124,16 +123,13 @@ def validate(file, as_json):
 
 def _standardized(file, ensure_r):
     """The standard form of the file's code, after ``ensure_positive_r``
-    under --ensure-r, and the ensure-r keys of its report: ``ensure_r_ops``
-    ([] without --ensure-r) and ``ensure_r_minimal`` (null without it)."""
+    under --ensure-r, and the ``ensure_r_ops`` of its report ([] without
+    --ensure-r)."""
     code = _load_valid_stab(file, "standardize")
     if not ensure_r:
-        return to_standard_form(code), {"ensure_r_ops": [], "ensure_r_minimal": None}
-    result = ensure_positive_r(code)
-    return result.standard_form, {
-        "ensure_r_ops": [[op.kind, list(op.indices)] for op in result.ops],
-        "ensure_r_minimal": result.minimal,
-    }
+        return to_standard_form(code), []
+    result = _checked(ensure_positive_r, code)
+    return result.standard_form, [[op.kind, list(op.indices)] for op in result.ops]
 
 
 @main.command()
@@ -143,7 +139,7 @@ def _standardized(file, ensure_r):
 @json_option
 def standardize(file, ensure_r, out, as_json):
     """Reduce a stabilizer file to standard form."""
-    sf, ensured = _standardized(file, ensure_r)
+    sf, ensure_r_ops = _standardized(file, ensure_r)
     perm = [int(p) + 1 for p in sf.qubit_permutation]
     payload = {
         "s": sf.s,
@@ -151,7 +147,7 @@ def standardize(file, ensure_r, out, as_json):
         "r": sf.r,
         "qubit_permutation": perm,
         "generators": sf.pauli_strings(),
-        **ensured,
+        "ensure_r_ops": ensure_r_ops,
         "trace_length": len(sf.op_trace),
     }
     comments = [
@@ -159,11 +155,9 @@ def standardize(file, ensure_r, out, as_json):
         "qubit_permutation (original position of each standardized column): "
         + " ".join(str(p) for p in perm),
     ]
-    if ensured["ensure_r_ops"]:
-        ops = "; ".join(f"{kind}{tuple(indices)}" for kind, indices in ensured["ensure_r_ops"])
+    if ensure_r_ops:
+        ops = "; ".join(f"{kind}{tuple(indices)}" for kind, indices in ensure_r_ops)
         comments.append(f"ensure-r ops: {ops}")
-    if ensured["ensure_r_minimal"] is False:
-        comments.append(NOT_MINIMAL)
     _report(as_json, payload, write_stabilizer_text(sf, comments), out)
 
 
@@ -174,7 +168,7 @@ def standardize(file, ensure_r, out, as_json):
 @json_option
 def extract(file, ensure_r, out, as_json):
     """Extract the classical binary linear code of a stabilizer file."""
-    sf, ensured = _standardized(file, ensure_r)
+    sf, ensure_r_ops = _standardized(file, ensure_r)
     if sf.k == 0:
         _fail("no encoded qubits, no classical code (k = 0)", 1)
     result = extract_classical(sf)
@@ -184,8 +178,6 @@ def extract(file, ensure_r, out, as_json):
             "rerun with --ensure-r for the (n-1, k) form",
             err=True,
         )
-    if ensured["ensure_r_minimal"] is False:
-        click.echo(NOT_MINIMAL, err=True)
     gm = lincode.GeneratorMatrix(result.generator)
     payload = {
         "n_classical": result.n_classical,
@@ -195,7 +187,7 @@ def extract(file, ensure_r, out, as_json):
         "theorem_parameters": list(result.theorem_parameters),
         "rows": write_generator_text(gm).splitlines(),
         "r_zero_warning": result.r_zero_warning,
-        **ensured,
+        "ensure_r_ops": ensure_r_ops,
     }
     summary = (
         f"({result.n_classical},{result.k}) classical code; "
@@ -241,13 +233,16 @@ def distance(file, mode, cap, as_json):
     else:
         result = _checked(lincode.min_distance, _checked(load_generator, file))
         t = (result.distance - 1) // 2
+        enumerator = result.weight_enumerator
         payload = {
             "kind": "classical",
             "distance": result.distance,
             "t": t,
-            "weight_enumerator": {str(w): c for w, c in result.weight_enumerator.items()},
+            "weight_enumerator": enumerator and {str(w): c for w, c in enumerator.items()},
         }
         text = f"d={result.distance} t={t}"
+        if enumerator is None:
+            text += f"; weight enumerator not computed (k > {lincode.K_ENUM_LIMIT})"
     _report(as_json, payload, text + "\n")
 
 

@@ -1,4 +1,4 @@
-"""Classical binary linear codes: codeword tables, the brute-force distance,
+"""Classical binary linear codes: codeword tables, the minimum distance,
 coset leaders, and binary-symmetric-channel performance.
 
 Decoding is complete nearest-codeword decoding (not bounded-distance), with
@@ -78,19 +78,37 @@ def codeword_table(g: GeneratorMatrix) -> np.ndarray:
     return _kernels.doubling_table(gf2.pack_rows(g.rows)[::-1], g.k)
 
 
+def lightest_codewords(rows: np.ndarray) -> tuple[int, np.ndarray]:
+    """The least weight w of a nonzero codeword of the code spanned by
+    ``rows``, and all codewords of weight w; (0, no rows) for the zero code.
+    One join of :func:`_kernels.min_weight_logicals` over {X}, with an empty
+    span and generators (0 | H), H = ``gf2.nullspace(rows)``: X^c commutes
+    with them iff c is a codeword.  Raises ValueError past ``join_reach``."""
+    h = gf2.nullspace(rows)
+    n = h.shape[1]
+    reach, predicted = _kernels.join_reach(n, n, ("X",))
+    gens = np.hstack([np.zeros_like(h), h])
+    blocks = list(_kernels.min_weight_logicals(gens, gens[:0], [], n, reach, ("X",)))
+    if not blocks and predicted is not None:
+        raise ValueError(
+            f"searching codewords of weight {reach + 1} would list {predicted:.2g} join "
+            f"keys, above the limit {_kernels.MAX_JOIN_ENTRIES:.2g}; refusing"
+        )
+    return (blocks[0][0], np.vstack([v[:, :n] for _, v in blocks])) if blocks else (0, h[:0])
+
+
 @dataclass(frozen=True)
 class MinDistanceResult:
     distance: int
-    weight_enumerator: dict[int, int]
+    weight_enumerator: dict[int, int] | None
 
 
 def min_distance(g: GeneratorMatrix) -> MinDistanceResult:
-    """Minimum Hamming weight over the 2^k - 1 nonzero codewords, plus the
-    full weight enumerator."""
+    """Minimum Hamming weight over the nonzero codewords, plus the weight
+    enumerator from a 2^k sweep; past ``K_ENUM_LIMIT``, d alone (the
+    enumerator None), by :func:`lightest_codewords`."""
     if g.k > K_ENUM_LIMIT:
-        raise ValueError(
-            f"k = {g.k} exceeds the enumeration limit {K_ENUM_LIMIT}; refusing"
-        )
+        return MinDistanceResult(lightest_codewords(g.rows)[0], None)
     hist = _kernels.codeword_weight_hist(g.rows, g.n)
     nonzero = [w for w in range(1, g.n + 1) if hist[w]]
     return MinDistanceResult(

@@ -16,12 +16,10 @@ the column permutation mapped back to original qubit positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from . import _kernels, gf2
+from . import _kernels, gf2, lincode
 from .pauli import parse_pauli, pauli_string, symplectic_product_rows
 
 ROW_ADDITION = "row-addition"
@@ -258,26 +256,14 @@ def to_standard_form(code: StabilizerCode) -> StandardForm:
     return StandardForm(work, n, s, perm, trace)
 
 
-# ensure_positive_r stops before the first subset size j whose C(m, j)
-# generator subsets exceed this.  At about 1 us per subset on one core a level
-# costs at most 0.2 s; the worst whole search, m = 20 with every level under
-# the cap, visits 2^20 subsets in about 1 s.
-MAX_ENSURE_R_SUBSETS = 2 * 10**5
-
-
 @dataclass(frozen=True)
 class EnsureRResult:
     """An equivalent code with r >= 1, its standard form, and the column
-    operations that give it.
-
-    ``minimal`` is False when a subset size was skipped under
-    ``MAX_ENSURE_R_SUBSETS``, so a shorter or tie-preferred list may exist.
-    """
+    operations that give it."""
 
     code: StabilizerCode
     ops: list[ElementaryOp]
     standard_form: StandardForm
-    minimal: bool = True
 
 
 def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
@@ -292,44 +278,26 @@ def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
     of op indices, switch i having index i and addition i index n + i, in
     original qubit positions.
 
-    With r = 0 the standard form's X part is (I_m | A1), so a sum of j
-    generators has X-weight >= j; sizes j = 1, 2, ... are searched until j
-    exceeds the best weight found.  Returns the input unchanged when it
-    already has r >= 1.
+    With r = 0 the standard form's X part is (I_m | A1), so an element is
+    fixed by its X part x (its coefficients are x on the pivot qubits), and
+    the lightest are the codewords of :func:`lincode.lightest_codewords` on
+    the X rows.  Returns the input unchanged when it already has r >= 1.
     """
     sf = to_standard_form(code)
     if sf.r >= 1:
         return EnsureRResult(code, [], sf)
-    n, m = code.n, code.m
-    # the standardized generators as X and Z bitmasks over original qubits
-    at = np.argsort(sf.qubit_permutation)  # standardized position of each qubit
-    xs = gf2.to_ints(sf.matrix[:, :n][:, at])
-    zs = gf2.to_ints(sf.matrix[:, n:][:, at])
-    best = None
-    minimal = True
-    for j in range(1, m + 1):
-        if best is not None:
-            if j > len(best):
-                break
-            if comb(m, j) > MAX_ENSURE_R_SUBSETS:
-                minimal = False
-                break
-        for subset in combinations(range(m), j):
-            x = z = 0
-            for i in subset:
-                x ^= xs[i]
-                z ^= zs[i]
-            if best is not None and x.bit_count() > len(best):
-                continue
-            key = sorted(q + n * (z >> q & 1) for q in range(n) if x >> q & 1)
-            if best is None or (len(key), key) < (len(best), best):
-                best = key
+    n, perm = code.n, sf.qubit_permutation
+    w, xs = lincode.lightest_codewords(code.matrix[:, :n])
+    zs = gf2.mat_mul(xs[:, perm[: code.m]], sf.matrix[:, n:])[:, np.argsort(perm)]
+    index = np.arange(n) + n * zs.astype(np.intp)  # of a switch or an addition on each qubit
+    keys = np.sort(np.where(xs == 1, index, 2 * n), axis=1)[:, :w]
+    best = keys[np.lexsort(keys.T[::-1])[0]].tolist()
     ops = [
         ElementaryOp(COLUMN_SWITCH, (i,)) if i < n else ElementaryOp(COLUMN_ADDITION, (i - n,))
         for i in best
     ]
     moved = apply_ops(code, ops)
-    return EnsureRResult(moved, ops, to_standard_form(moved), minimal)
+    return EnsureRResult(moved, ops, to_standard_form(moved))
 
 
 def logical_phase_ops(sf: StandardForm) -> np.ndarray:
@@ -395,13 +363,6 @@ def verify_logical_algebra(sf: StandardForm) -> LogicalAlgebraReport:
     return LogicalAlgebraReport(failures)
 
 
-# The distance search refuses to start a weight level that lists more join
-# keys than this (_kernels.join_entries, summed over the alphabets it runs):
-# at about 25 ns per key on one core, no level past about 50 s starts.  The
-# rotated surface code with d=9, a CSS code, lists 5.9e7 keys at w = 9 in
-# its two one-letter joins; over {X, Y, Z} it would list 6.3e9.
-MAX_JOIN_ENTRIES = 2 * 10**9
-
 CAP = "cap"
 WORK_LIMIT = "work-limit"
 
@@ -412,8 +373,8 @@ class DistanceResult:
 
     ``value`` is the distance, or None with ``stopped_by`` saying why:
     ``"cap"`` when no weight up to ``cap`` qualifies, ``"work-limit"`` when
-    the next level was predicted above ``MAX_JOIN_ENTRIES``, and None for a
-    k = 0 code, which has no logical operators, so its distance is undefined.
+    the next level was predicted above ``_kernels.MAX_JOIN_ENTRIES`` keys,
+    and None for a k = 0 code, which has no logical operators.
     Every weight up to ``searched`` was searched.  On a work limit,
     ``predicted_keys`` is the number of join keys the refused level would
     have listed, the number the guard compared with the limit.
@@ -442,24 +403,15 @@ def is_css(code: StabilizerCode) -> bool:
     """Whether the stabilizer group is generated by pure-X and pure-Z
     elements, however the generators are written.
 
-    Let r be the rank of the group.  The pure-X elements are the
-    combinations whose Z half vanishes: m - rank(Z half) combinations, of
-    which the m - r that give the identity drop out, so a subgroup of
+    Let r be the rank of the group.  The pure-X elements are the row sums
+    whose Z half vanishes: a space of m - rank(Z half) coefficient vectors,
+    of which the m - r that give the identity drop out, so a subgroup of
     dimension r - rank(Z half).  The pure-Z ones have dimension
     r - rank(X half).  They intersect only in the identity, so they generate
     the group iff those dimensions sum to r, i.e. rank(X) + rank(Z) = r.
     """
     n, mat = code.n, code.matrix
     return gf2.rank(mat[:, :n]) + gf2.rank(mat[:, n:]) == gf2.rank(mat)
-
-
-def _join_bound(n: int, w: int, a: int) -> int:
-    """An O(1) upper bound of :func:`_kernels.join_entries`: the keys that one
-    join per split point would list.  Summed over the split points, the A
-    sides list C(n-l, h) a^h keys, as the grouped joins do, and the B sides
-    C(n-h+1, l+1) a^l, at least the one B side per group of the joins."""
-    h, l = (w + 1) // 2, w // 2
-    return comb(n - l, h) * a**h + comb(n - h + 1, l + 1) * a**l
 
 
 def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> DistanceResult:
@@ -477,9 +429,9 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
 
     ``weight_cap`` defaults to n (exhaustive).  A k = 0 code returns at once
     with an undefined distance.  The search stops before the first weight
-    level whose joins are predicted to list more than ``MAX_JOIN_ENTRIES``
-    keys, summed over the alphabets, and reports the lower bound it reached;
-    the exact count is walked only for a level whose bound passes the limit.
+    level whose joins are predicted to list more than
+    ``_kernels.MAX_JOIN_ENTRIES`` keys, summed over the alphabets
+    (:func:`_kernels.join_reach`), and reports the lower bound it reached.
     """
     n = code.n
     cap = n if weight_cap is None else min(weight_cap, n)
@@ -487,14 +439,7 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
     if red.rank == n:
         return DistanceResult(None, cap, 0)
     alphabets = ("X", "Z") if is_css(code) else ("XYZ",)
-    reach, predicted = cap, None
-    for w in range(1, cap + 1):
-        if sum(_join_bound(n, w, len(a)) for a in alphabets) <= MAX_JOIN_ENTRIES:
-            continue
-        keys = sum(_kernels.join_entries(n, w, len(a)) for a in alphabets)
-        if keys > MAX_JOIN_ENTRIES:
-            reach, predicted = w - 1, keys
-            break
+    reach, predicted = _kernels.join_reach(n, cap, alphabets)
     span_rows = red.matrix[: red.rank]
     d = _kernels.normalizer_min_weight(code.matrix, span_rows, red.pivots, n, reach, alphabets)
     if d:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from stab2lin import _kernels, bounds, cli, stabilizer
 from stab2lin.cli import main
+from stab2lin.formats import write_generator_text
 
-from util import data_path, random_code, rotated_surface_code
+from util import data_path, hamming_direct_sum, random_code, rotated_surface_code
 
 runner = CliRunner()
 
@@ -98,20 +99,20 @@ def test_standardize_ensure_r_xxx_three_switches(tmp_path):
     assert res.exit_code == 0
     payload = json.loads(res.stdout)
     assert payload["ensure_r_ops"] == [["column-switch", [q]] for q in range(3)]
-    assert payload["ensure_r_minimal"] is True
     assert payload["r"] == 1
 
 
-def test_standardize_ensure_r_not_minimal_comment(tmp_path, monkeypatch):
-    monkeypatch.setattr(stabilizer, "MAX_ENSURE_R_SUBSETS", 0)
+def test_standardize_ensure_r_refused_past_the_work_guard(tmp_path, monkeypatch):
+    # the lightest element, XXIII, weighs 2; the guard admits weight 1 only
+    monkeypatch.setattr(_kernels, "MAX_JOIN_ENTRIES", _kernels.join_entries(5, 1, 1))
     f = tmp_path / "x2.stab"
     f.write_text("XIXXX\nIXXXX\n")
-    res = run("standardize", f, "--ensure-r")
-    assert res.exit_code == 0
-    assert "not proven minimal" in res.output
-    assert json.loads(run("standardize", f, "--ensure-r", "--json").stdout)[
-        "ensure_r_minimal"
-    ] is False
+    for flags in ((), ("--json",)):
+        res = run("standardize", f, "--ensure-r", *flags)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert f"would list {_kernels.join_entries(5, 2, 1):.2g} join keys" in res.stderr
 
 
 def test_extract_ensure_r_json_reports_ops():
@@ -119,23 +120,9 @@ def test_extract_ensure_r_json_reports_ops():
     assert res.exit_code == 0
     payload = json.loads(res.stdout)
     assert payload["ensure_r_ops"] == [["column-switch", [0]], ["column-switch", [1]]]
-    assert payload["ensure_r_minimal"] is True
     assert payload["r"] == 1 and payload["parameters"] == [1, 1]
     plain = json.loads(run("extract", data_path("xx_two.stab"), "--json").stdout)
-    assert plain["ensure_r_ops"] == [] and plain["ensure_r_minimal"] is None
-
-
-def test_extract_ensure_r_not_minimal_note_on_stderr(tmp_path, monkeypatch):
-    monkeypatch.setattr(stabilizer, "MAX_ENSURE_R_SUBSETS", 0)
-    f = tmp_path / "x2.stab"
-    f.write_text("XIXXX\nIXXXX\n")
-    res = run("extract", f, "--ensure-r")
-    assert res.exit_code == 0
-    assert "not proven minimal" in res.stderr
-    assert "not proven minimal" not in res.stdout
-    res = run("extract", f, "--ensure-r", "--json")
-    assert json.loads(res.stdout)["ensure_r_minimal"] is False
-    assert "not proven minimal" in res.stderr
+    assert plain["ensure_r_ops"] == [] and "ensure_r_minimal" not in plain
 
 
 @pytest.mark.parametrize("name, reductions, validations", [
@@ -271,7 +258,7 @@ def test_distance_quantum_work_limit(tmp_path, monkeypatch):
     path = tmp_path / "surface5.stab"
     path.write_text("\n".join(rotated_surface_code(5).pauli_strings()) + "\n")
     # surface d5 is CSS: two one-letter joins per weight
-    monkeypatch.setattr(stabilizer, "MAX_JOIN_ENTRIES", 2 * _kernels.join_entries(25, 4, 1))
+    monkeypatch.setattr(_kernels, "MAX_JOIN_ENTRIES", 2 * _kernels.join_entries(25, 4, 1))
     res = run("distance", path, "--quantum")
     assert res.exit_code == 0
     assert res.output.startswith("distance > 4 (work limit: searching weight 5 ")
@@ -305,6 +292,17 @@ def test_distance_cap_below_one_exit_two():
 def test_distance_classical():
     res = run("distance", data_path("seven_three.gmat"), "--classical")
     assert res.output.strip() == "d=4 t=1"
+
+
+def test_distance_classical_past_the_enumeration_limit(tmp_path):
+    # eight [7,4,3] Hamming codes: k = 32 > 28, so d alone, from the join
+    path = tmp_path / "hamming8.gmat"
+    path.write_text(write_generator_text(hamming_direct_sum(8)))
+    res = run("distance", path, "--classical")
+    assert res.exit_code == 0
+    assert res.stdout == "d=3 t=1; weight enumerator not computed (k > 28)\n"
+    payload = json.loads(run("distance", path, "--classical", "--json").stdout)
+    assert (payload["distance"], payload["t"], payload["weight_enumerator"]) == (3, 1, None)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -16,6 +16,7 @@ from stab2lin.lincode import (
     GeneratorMatrix,
     codeword_table,
     coset_leaders,
+    lightest_codewords,
 )
 from stab2lin.stabilizer import is_css, quantum_distance
 
@@ -25,6 +26,7 @@ from util import (
     encode,
     in_rowspan,
     pauli_weight_rows,
+    random_code,
     random_css_code,
     random_stabilizer_code,
 )
@@ -164,6 +166,25 @@ def test_normalizer_min_weight_join_matches_pauli_enumeration(case):
     d = pauli_enumeration_min_weight(code, n)
     assert (d == 0) == (m == n)
     assert kernel_answers(code) == expected_answers(d, n)
+
+
+@given(st.integers(1, 18).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, min(n, 16)), st.integers(0, 2**32 - 1), st.booleans(),
+    st.booleans())))
+@settings(max_examples=40, deadline=None)
+def test_lightest_codewords_match_weight_hist(case):
+    # the classical join over {X}: w is the first nonzero weight of the
+    # 2^k sweep, and every codeword of that weight is listed once, also
+    # under each of PATCHES (many blocks, and keys that fold parity checks)
+    g = random_code(*case)
+    hist = _kernels.codeword_weight_hist(g.rows, g.n)
+    d = int(np.flatnonzero(hist[1:])[0]) + 1
+    for patch in PATCHES:
+        with mock.patch.multiple(_kernels, **patch) if patch else nullcontext():
+            w, words = lightest_codewords(g.rows)
+        assert (w, len(words)) == (d, hist[d])
+        assert (words.sum(axis=1) == d).all() and len(np.unique(words, axis=0)) == hist[d]
+        assert not gf2.mat_mul(words, gf2.nullspace(g.rows).T).any()
 
 
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(

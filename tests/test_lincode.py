@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from math import comb
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stab2lin import _kernels, lincode
+from stab2lin import _kernels, gf2, lincode
 from stab2lin.formats import load_generator
 from stab2lin.lincode import (
     GeneratorMatrix,
@@ -21,7 +22,7 @@ from stab2lin.lincode import (
     min_distance,
 )
 
-from util import data_path, decode_nearest, encode, random_code
+from util import data_path, decode_nearest, encode, hamming_direct_sum, random_code
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +104,19 @@ def test_min_distance_matches_pairwise_oracle(g52, g73):
         assert min_distance(g).distance == pairwise
 
 
-def test_min_distance_refuses_large_k():
-    g = GeneratorMatrix(np.eye(lincode.K_ENUM_LIMIT + 1, dtype=np.uint8))
-    with pytest.raises(ValueError, match="refus"):
+def test_min_distance_past_the_enumeration_limit_by_join(monkeypatch):
+    # a (56, 32, 3) code: k > K_ENUM_LIMIT, so d comes from the join alone
+    g = hamming_direct_sum(8)
+    assert g.k > lincode.K_ENUM_LIMIT
+    assert min_distance(g) == lincode.MinDistanceResult(3, None)
+    w, words = lincode.lightest_codewords(g.rows)
+    assert (w, len(words)) == (3, 56)
+    assert (words.sum(axis=1) == 3).all() and len(np.unique(words, axis=0)) == 56
+    assert not gf2.mat_mul(words, gf2.nullspace(g.rows).T).any()
+    # past the work guard it refuses, naming the keys of the refused weight
+    monkeypatch.setattr(_kernels, "MAX_JOIN_ENTRIES", _kernels.join_entries(56, 2, 1))
+    keys = f"list {_kernels.join_entries(56, 3, 1):.2g} join keys"
+    with pytest.raises(ValueError, match=re.escape(keys)):
         min_distance(g)
 
 

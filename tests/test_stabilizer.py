@@ -46,6 +46,7 @@ from util import (
     random_stabilizer_code,
     reference_logical_algebra_ok,
     rotated_surface_code,
+    subset_ensure_r,
     writable_blocks,
 )
 
@@ -185,7 +186,6 @@ def test_ensure_positive_r_single_x():
 def test_ensure_positive_r_xx_two_switches():
     res = ensure_positive_r(StabilizerCode.from_paulis(["XX"]))
     assert res.ops == [ElementaryOp(COLUMN_SWITCH, (0,)), ElementaryOp(COLUMN_SWITCH, (1,))]
-    assert res.minimal
     assert to_standard_form(res.code).r >= 1
 
 
@@ -218,30 +218,44 @@ def test_ensure_positive_r_matches_bfs(code, depth):
         assert len(res.ops) > depth
     else:
         assert res.ops == reference
-    assert res.minimal
     moved = apply_ops(code, res.ops)
     assert np.array_equal(moved.matrix, res.code.matrix)
     assert to_standard_form(moved).r >= 1
     assert quantum_distance(moved).value == quantum_distance(code).value
 
 
-def test_ensure_positive_r_subset_cap(monkeypatch):
-    # level 1 offers four switches; the pair sum XXIII needs two
-    code = StabilizerCode.from_paulis(["XIXXX", "IXXXX"])
-    res = ensure_positive_r(code)
-    assert res.minimal
-    assert res.ops == [ElementaryOp(COLUMN_SWITCH, (q,)) for q in (0, 1)]
-    monkeypatch.setattr(stabilizer, "MAX_ENSURE_R_SUBSETS", 0)
-    capped = ensure_positive_r(code)
-    assert capped.minimal is False
-    assert len(capped.ops) == 4
-    assert to_standard_form(capped.code).r >= 1
+@st.composite
+def larger_r_zero_codes(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, n))
+    return random_r_zero_code(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m)
+
+
+@given(larger_r_zero_codes())
+@settings(max_examples=60, deadline=None)
+# level 1 offers four switches; the pair sum XXIII needs two
+@example(StabilizerCode.from_paulis(["XIXXX", "IXXXX"]))
+def test_ensure_positive_r_matches_subset_search(code):
+    assert ensure_positive_r(code).ops == subset_ensure_r(code)
+
+
+def test_ensure_positive_r_exact_past_the_old_subset_cap():
+    # m = 30 and 6 ops: the subset search used to stop before its C(30, 6)
+    # = 593775 subsets of size 6 (it allowed 2e5 per size) and return a
+    # list not proven shortest; the join lists every weight-6 element
+    code = random_r_zero_code(np.random.default_rng(0), 53, 30)
+    ops = ensure_positive_r(code).ops
+    assert len(ops) == 6
+    assert ops == subset_ensure_r(code)
 
 
 def test_ensure_positive_r_y_uses_column_addition():
     res = ensure_positive_r(StabilizerCode.from_paulis(["Y"]))
     assert res.ops == [ElementaryOp(COLUMN_ADDITION, (0,))]
     assert res.code.pauli_strings() == ["Z"]
+    # past 255 qubits the op index n + q does not fit the uint8 bit rows
+    res = ensure_positive_r(StabilizerCode.from_paulis(["I" * 299 + "Y"]))
+    assert res.ops == [ElementaryOp(COLUMN_ADDITION, (299,))]
 
 
 def test_elementary_ops_preserve_validity():
@@ -492,7 +506,7 @@ def test_quantum_distance_k_zero_is_undefined(monkeypatch):
 def test_quantum_distance_work_limit(monkeypatch):
     code = rotated_surface_code(5)
     # surface d5 is CSS: two one-letter joins per weight
-    monkeypatch.setattr(stabilizer, "MAX_JOIN_ENTRIES", 2 * _kernels.join_entries(25, 4, 1))
+    monkeypatch.setattr(_kernels, "MAX_JOIN_ENTRIES", 2 * _kernels.join_entries(25, 4, 1))
     res = quantum_distance(code)
     assert (res.value, res.searched, res.stopped_by) == (None, 4, "work-limit")
     assert res.predicted_keys == 2 * _kernels.join_entries(25, 5, 1)
@@ -506,7 +520,7 @@ def walked_guard(keys, cap):
     """Oracle: the work guard by the exact key count of every weight up to
     ``cap``, ``keys[w]`` being that count; returns (reach, predicted_keys)."""
     for w in range(1, cap + 1):
-        if keys[w] > stabilizer.MAX_JOIN_ENTRIES:
+        if keys[w] > _kernels.MAX_JOIN_ENTRIES:
             return w - 1, keys[w]
     return cap, None
 
@@ -520,7 +534,7 @@ def test_quantum_distance_guard_walks_only_past_the_bound(monkeypatch):
         for n in range(2, 101):
             walk = [_kernels.join_entries(n, w, a) for w in range(1, n + 1)]
             for w in range(1, n + 1):
-                assert stabilizer._join_bound(n, w, a) >= walk[w - 1], (n, w, a)
+                assert _kernels._join_bound(n, w, a) >= walk[w - 1], (n, w, a)
             keys = [None] + [len(alphabets) * k for k in walk]
             code = StabilizerCode.from_paulis([letter + "I" * (n - 1)])
             assert is_css(code) == (a == 1)

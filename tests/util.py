@@ -6,7 +6,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,16 @@ def random_code(n, k, seed, zero_col, repeat_col):
         if i != j:
             rows[i] ^= rows[j]
     return GeneratorMatrix(rows[:, rng.permutation(n)])
+
+
+def hamming_direct_sum(copies: int) -> GeneratorMatrix:
+    """The direct sum of ``copies`` [7,4,3] Hamming codes: a (7c, 4c, 3) code
+    with 7c codewords of weight 3, seven in each block."""
+    hamming = np.array(
+        [[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]],
+        dtype=np.uint8,
+    )
+    return GeneratorMatrix(np.kron(np.eye(copies, dtype=np.uint8), hamming))
 
 
 def encode(g: GeneratorMatrix, x: np.ndarray) -> np.ndarray:
@@ -296,3 +306,37 @@ def bfs_ensure_r(code: StabilizerCode, max_depth: int):
             if to_standard_form(apply_ops(code, seq)).r >= 1:
                 return list(seq)
     return None
+
+
+def subset_ensure_r(code: StabilizerCode) -> list[ElementaryOp]:
+    """Reference for ``ensure_positive_r``'s ops: the lightest X part over
+    sums of j standard-form generators, j = 1, 2, ... until j exceeds the
+    best weight found (with r = 0 a sum of j generators has X-weight >= j),
+    ties going to the smallest sorted list of op indices (switch i has index
+    i, addition i index n + i, in original qubit positions)."""
+    sf = to_standard_form(code)
+    if sf.r >= 1:
+        return []
+    n, m = code.n, code.m
+    # the standardized generators as X and Z bitmasks over original qubits
+    at = np.argsort(sf.qubit_permutation)  # standardized position of each qubit
+    xs = gf2.to_ints(sf.matrix[:, :n][:, at])
+    zs = gf2.to_ints(sf.matrix[:, n:][:, at])
+    best = None
+    for j in range(1, m + 1):
+        if best is not None and j > len(best):
+            break
+        for subset in combinations(range(m), j):
+            x = z = 0
+            for i in subset:
+                x ^= xs[i]
+                z ^= zs[i]
+            if best is not None and x.bit_count() > len(best):
+                continue
+            key = sorted(q + n * (z >> q & 1) for q in range(n) if x >> q & 1)
+            if best is None or (len(key), key) < (len(best), best):
+                best = key
+    return [
+        ElementaryOp(COLUMN_SWITCH, (i,)) if i < n else ElementaryOp(COLUMN_ADDITION, (i - n,))
+        for i in best
+    ]
