@@ -4,7 +4,7 @@
 - ``min_weight_logicals``: the lightest logical operators, by a meet-in-the-
   middle join of single-qubit syndromes, weight by weight, over the Paulis
   of one or more letter alphabets, and ``normalizer_min_weight`` their weight;
-  ``join_entries`` counts the keys listed per weight, ``join_reach`` guards it.
+  each level is priced (``join_entries``) when the search reaches it.
 - ``bsc_trial_successes`` and ``leader_trial_successes``: the two Monte Carlo
   decoders for the binary symmetric channel.  Both read one counter-based
   flip stream, ``_trial_errors``, drawn in cache-sized blocks and packed into
@@ -218,26 +218,16 @@ def join_entries(n: int, w: int, a: int) -> int:
 MAX_JOIN_ENTRIES = 2 * 10**9
 
 
-def _join_bound(n: int, w: int, a: int) -> int:
-    """An O(1) upper bound of :func:`join_entries`: the keys that one join per
-    split point would list.  Summed over the split points, the A sides list
-    C(n-l, h) a^h keys, as the grouped joins do, and the B sides
-    C(n-h+1, l+1) a^l, at least the one B side per group of the joins."""
-    h, l = (w + 1) // 2, w // 2
-    return comb(n - l, h) * a**h + comb(n - h + 1, l + 1) * a**l
+class WorkLimit(ValueError):
+    """A weight level the search refused: every weight up to ``searched``
+    was searched, and the next would list ``keys`` join keys."""
 
-
-def join_reach(n: int, cap: int, alphabets: tuple[str, ...]) -> tuple[int, int | None]:
-    """(w - 1, keys) for the first weight w <= ``cap`` whose joins over
-    ``alphabets`` list keys > ``MAX_JOIN_ENTRIES``, else (cap, None).  Only a
-    level whose O(1) bound passes the limit has its keys counted exactly."""
-    for w in range(1, cap + 1):
-        if sum(_join_bound(n, w, len(a)) for a in alphabets) <= MAX_JOIN_ENTRIES:
-            continue
-        keys = sum(join_entries(n, w, len(a)) for a in alphabets)
-        if keys > MAX_JOIN_ENTRIES:
-            return w - 1, keys
-    return cap, None
+    def __init__(self, searched: int, keys: int):
+        super().__init__(
+            f"searching weight {searched + 1} would list {keys:.2g} join keys, "
+            f"above the limit {MAX_JOIN_ENTRIES:.2g}; refusing"
+        )
+        self.searched, self.keys = searched, keys
 
 
 def _paulis(pos: np.ndarray, letters: np.ndarray, n: int, alphabet: str) -> np.ndarray:
@@ -335,6 +325,7 @@ def min_weight_logicals(
     is the first weight at which any alphabet finds a logical.  ``"XYZ"``
     covers every Pauli; ``("X", "Z")`` covers the pure-X and pure-Z ones, which
     is exact for a CSS group (see :func:`stab2lin.stabilizer.quantum_distance`).
+    A level whose joins would list over ``MAX_JOIN_ENTRIES`` keys raises WorkLimit.
     """
     gens = np.asarray(gens, dtype=np.uint8)
     span = np.asarray(span_rows, dtype=np.uint8)
@@ -346,6 +337,9 @@ def min_weight_logicals(
         syn = _single_syndromes(gens, n, alphabet)
         tables.append((alphabet, _SubsetTables(syn), _SubsetTables(syn[::-1])))
     for w in range(1, cap + 1):
+        keys = sum(join_entries(n, w, len(alphabet)) for alphabet, *_ in tables)
+        if keys > MAX_JOIN_ENTRIES:
+            raise WorkLimit(w - 1, keys)
         h, l = (w + 1) // 2, w // 2
         found = False
         for alphabet, fwd, rev in tables:

@@ -23,7 +23,7 @@ over the 2^(n-k) syndromes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, exp, lgamma, log, log1p, sqrt
 
 import numpy as np
@@ -42,11 +42,14 @@ _CHUNK = 1 << 20  # array elements per frontier chunk of the leader search
 MAX_MC_WORK = 2 * 10**9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """A k x n generator matrix with independent rows."""
+    """A k x n generator matrix with independent rows, equal to another with
+    the same rows.  ``syndrome_cols[j]`` is the syndrome of the single-bit
+    error e_j, bit i being parity check i; both are read-only."""
 
     rows: np.ndarray
+    syndrome_cols: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = gf2.as_bits(self.rows)
@@ -54,9 +57,24 @@ class GeneratorMatrix:
             raise ValueError("expected a k x n matrix with k >= 1")
         if rows.shape[0] > rows.shape[1]:
             raise ValueError("k must not exceed n")
-        if gf2.rank(rows) != rows.shape[0]:
+        h = gf2.nullspace(rows)
+        if len(h) != rows.shape[1] - rows.shape[0]:
             raise ValueError("generator rows must be independent")
+        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+        cols = None
+        if len(h) <= NK_EXACT_LIMIT:  # no channel path reads them past it
+            cols = np.array(gf2.to_ints(h.T), dtype=np.int64)
+            cols.flags.writeable = False
+        object.__setattr__(self, "syndrome_cols", cols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
+
+    def __hash__(self):
+        return hash((self.rows.shape, self.rows.tobytes()))
 
     @property
     def k(self) -> int:
@@ -83,17 +101,11 @@ def lightest_codewords(rows: np.ndarray) -> tuple[int, np.ndarray]:
     ``rows``, and all codewords of weight w; (0, no rows) for the zero code.
     One join of :func:`_kernels.min_weight_logicals` over {X}, with an empty
     span and generators (0 | H), H = ``gf2.nullspace(rows)``: X^c commutes
-    with them iff c is a codeword.  Raises ValueError past ``join_reach``."""
+    with them iff c is a codeword.  Raises ``_kernels.WorkLimit`` past its guard."""
     h = gf2.nullspace(rows)
     n = h.shape[1]
-    reach, predicted = _kernels.join_reach(n, n, ("X",))
     gens = np.hstack([np.zeros_like(h), h])
-    blocks = list(_kernels.min_weight_logicals(gens, gens[:0], [], n, reach, ("X",)))
-    if not blocks and predicted is not None:
-        raise ValueError(
-            f"searching codewords of weight {reach + 1} would list {predicted:.2g} join "
-            f"keys, above the limit {_kernels.MAX_JOIN_ENTRIES:.2g}; refusing"
-        )
+    blocks = list(_kernels.min_weight_logicals(gens, gens[:0], [], n, n, ("X",)))
     return (blocks[0][0], np.vstack([v[:, :n] for _, v in blocks])) if blocks else (0, h[:0])
 
 
@@ -175,18 +187,13 @@ def coset_leaders(g: GeneratorMatrix) -> CosetLeaders:
     # Leader weights never exceed n - k; w * count[s] must fit in an int64.
     if max((w * comb(n, w) for w in range(1, nk + 1)), default=0) >= 1 << 63:
         raise ValueError(f"n = {n} is too long for 64-bit leader counts at n - k = {nk}")
-    cols = _syndrome_cols(g)
+    cols = g.syndrome_cols
     if (1 << g.k) * ((1 << nk) + 6000) <= (20 * n) << nk:
         min_weight, count = _leaders_by_codewords(codeword_table(g), cols, n, nk)
     else:
         min_weight = _leader_weights(cols, nk)
         count = _leader_counts(cols, min_weight)
     return CosetLeaders(syndrome_cols=cols, min_weight=min_weight, count=count)
-
-
-def _syndrome_cols(g: GeneratorMatrix) -> np.ndarray:
-    """The syndrome of each single-bit error e_j, bit i being parity check i."""
-    return np.array(gf2.to_ints(gf2.nullspace(g.rows).T), dtype=np.int64)
 
 
 def _leader_weights(cols: np.ndarray, nk: int) -> np.ndarray:
@@ -352,9 +359,8 @@ def bsc_monte_carlo(
             f"Monte Carlo would {work}, above the limit {MAX_MC_WORK:.0e}; use fewer trials{hint}"
         )
     if lookup:
-        cols = _syndrome_cols(g)
-        weights = _leader_weights(cols, g.n - g.k)
-        succ = _kernels.leader_trial_successes(cols, weights, g.n, delta, trials, seed)
+        weights = _leader_weights(g.syndrome_cols, g.n - g.k)
+        succ = _kernels.leader_trial_successes(g.syndrome_cols, weights, g.n, delta, trials, seed)
     else:
         succ = _kernels.bsc_trial_successes(codewords, g.n, delta, trials, seed)
     p = succ / trials

@@ -286,6 +286,8 @@ def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
     sf = to_standard_form(code)
     if sf.r >= 1:
         return EnsureRResult(code, [], sf)
+    if code.m == 0:
+        raise ValueError("r >= 1 cannot be reached without generators")
     n, perm = code.n, sf.qubit_permutation
     w, xs = lincode.lightest_codewords(code.matrix[:, :n])
     zs = gf2.mat_mul(xs[:, perm[: code.m]], sf.matrix[:, n:])[:, np.argsort(perm)]
@@ -373,11 +375,10 @@ class DistanceResult:
 
     ``value`` is the distance, or None with ``stopped_by`` saying why:
     ``"cap"`` when no weight up to ``cap`` qualifies, ``"work-limit"`` when
-    the next level was predicted above ``_kernels.MAX_JOIN_ENTRIES`` keys,
-    and None for a k = 0 code, which has no logical operators.
-    Every weight up to ``searched`` was searched.  On a work limit,
-    ``predicted_keys`` is the number of join keys the refused level would
-    have listed, the number the guard compared with the limit.
+    the search refused the next level (:class:`_kernels.WorkLimit`), and None
+    for a k = 0 code.  Every weight up to ``searched`` was searched.  On a
+    work limit, ``predicted_keys`` is the number of join keys the refused
+    level would have listed, the number the guard compared with the limit.
     """
 
     value: int | None
@@ -428,10 +429,10 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
     logical operator, and it weighs no more than X^a Z^b.
 
     ``weight_cap`` defaults to n (exhaustive).  A k = 0 code returns at once
-    with an undefined distance.  The search stops before the first weight
-    level whose joins are predicted to list more than
-    ``_kernels.MAX_JOIN_ENTRIES`` keys, summed over the alphabets
-    (:func:`_kernels.join_reach`), and reports the lower bound it reached.
+    with an undefined distance.  Each weight level is priced when the search
+    reaches it; at one whose joins would list more than
+    ``_kernels.MAX_JOIN_ENTRIES`` keys, summed over the alphabets, the search
+    stops and reports the lower bound it reached.
     """
     n = code.n
     cap = n if weight_cap is None else min(weight_cap, n)
@@ -439,11 +440,9 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
     if red.rank == n:
         return DistanceResult(None, cap, 0)
     alphabets = ("X", "Z") if is_css(code) else ("XYZ",)
-    reach, predicted = _kernels.join_reach(n, cap, alphabets)
     span_rows = red.matrix[: red.rank]
-    d = _kernels.normalizer_min_weight(code.matrix, span_rows, red.pivots, n, reach, alphabets)
-    if d:
-        return DistanceResult(d, cap, d)
-    if predicted is None:
-        return DistanceResult(None, cap, cap, CAP)
-    return DistanceResult(None, cap, reach, WORK_LIMIT, predicted)
+    try:
+        d = _kernels.normalizer_min_weight(code.matrix, span_rows, red.pivots, n, cap, alphabets)
+    except _kernels.WorkLimit as limit:
+        return DistanceResult(None, cap, limit.searched, WORK_LIMIT, limit.keys)
+    return DistanceResult(d, cap, d) if d else DistanceResult(None, cap, cap, CAP)

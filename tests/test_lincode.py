@@ -22,7 +22,15 @@ from stab2lin.lincode import (
     min_distance,
 )
 
-from util import data_path, decode_nearest, encode, hamming_direct_sum, random_code
+from util import (
+    data_path,
+    decode_nearest,
+    encode,
+    hamming_direct_sum,
+    level_keys,
+    random_code,
+    walked_guard,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +58,24 @@ def all_codewords(g):
 def test_generator_rejects_dependent_rows():
     with pytest.raises(ValueError):
         GeneratorMatrix(np.array([[1, 1, 0], [1, 1, 0]], np.uint8))
+
+
+def test_generator_rows_are_read_only_and_hash_by_value(g52):
+    same = GeneratorMatrix(g52.rows.copy())
+    assert same == g52 and hash(same) == hash(g52)
+    assert len({g52, same, REP3}) == 2
+    # the same bytes in another shape are another matrix
+    wide = np.eye(2, 4, dtype=np.uint8)
+    assert GeneratorMatrix(wide) != GeneratorMatrix(wide.reshape(1, 8))
+    with pytest.raises(ValueError, match="read-only"):
+        g52.rows[1] = g52.rows[0]
+    # the coset-leader table shares the columns, so they cannot change either
+    with pytest.raises(ValueError, match="read-only"):
+        coset_leaders(g52).syndrome_cols[0] = 0
+    assert "syndrome_cols" not in repr(g52)
+    # past the exact-channel limit no syndrome columns are derived
+    long = GeneratorMatrix(np.eye(1, lincode.NK_EXACT_LIMIT + 2, dtype=np.uint8))
+    assert long.syndrome_cols is None
 
 
 def test_encode_examples(g52):
@@ -118,6 +144,21 @@ def test_min_distance_past_the_enumeration_limit_by_join(monkeypatch):
     keys = f"list {_kernels.join_entries(56, 3, 1):.2g} join keys"
     with pytest.raises(ValueError, match=re.escape(keys)):
         min_distance(g)
+
+
+def test_lightest_codewords_guard_prices_each_weight(monkeypatch):
+    # joins that find nothing make the search price every weight up to n
+    monkeypatch.setattr(_kernels, "_joined", lambda *args: iter(()))
+    for n in range(2, 101):
+        reach, predicted = walked_guard(level_keys(n, ("X",)), n)
+        rows = np.eye(1, n, dtype=np.uint8)
+        if predicted is None:
+            assert lincode.lightest_codewords(rows)[0] == 0, n
+            continue
+        keys = f"searching weight {reach + 1} would list {predicted:.2g} join keys"
+        with pytest.raises(_kernels.WorkLimit, match=re.escape(keys)) as refused:
+            lincode.lightest_codewords(rows)
+        assert (refused.value.searched, refused.value.keys) == (reach, predicted), n
 
 
 def test_max_correctable(g52, g73):
@@ -435,7 +476,7 @@ def test_histogram_matches_decode_classification(g):
 @given(codes())
 @settings(max_examples=60, deadline=None)
 def test_coset_leader_fills_match_pattern_sweep(g):
-    cols = lincode._syndrome_cols(g)
+    cols = g.syndrome_cols
     minw, count = pattern_sweep_table(g, cols)
     hist = np.zeros(g.n + 1, dtype=np.int64)
     np.add.at(hist, minw, count)

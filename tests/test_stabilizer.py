@@ -39,6 +39,7 @@ from util import (
     data_path,
     flip_block_bit,
     in_rowspan,
+    level_keys,
     pauli_weight_rows,
     random_elementary_op,
     random_css_code,
@@ -47,6 +48,7 @@ from util import (
     reference_logical_algebra_ok,
     rotated_surface_code,
     subset_ensure_r,
+    walked_guard,
     writable_blocks,
 )
 
@@ -173,6 +175,12 @@ def test_ensure_positive_r_already_satisfied(eight_three):
     res = ensure_positive_r(eight_three)
     assert not res.ops
     assert res.code is eight_three
+
+
+def test_ensure_positive_r_without_generators_refuses():
+    code = StabilizerCode(np.zeros((0, 4), np.uint8), 2)
+    with pytest.raises(ValueError, match="r >= 1 cannot be reached without generators"):
+        ensure_positive_r(code)
 
 
 def test_ensure_positive_r_single_x():
@@ -516,31 +524,21 @@ def test_quantum_distance_work_limit(monkeypatch):
     assert (res.searched, res.stopped_by) == (3, "cap") and res.exceeded
 
 
-def walked_guard(keys, cap):
-    """Oracle: the work guard by the exact key count of every weight up to
-    ``cap``, ``keys[w]`` being that count; returns (reach, predicted_keys)."""
-    for w in range(1, cap + 1):
-        if keys[w] > _kernels.MAX_JOIN_ENTRIES:
-            return w - 1, keys[w]
-    return cap, None
-
-
-def test_quantum_distance_guard_walks_only_past_the_bound(monkeypatch):
-    # the O(1) bound skips the exact walk below the limit, so it must never
-    # undercount; a one-generator code keeps the search itself out of it
-    monkeypatch.setattr(_kernels, "normalizer_min_weight", lambda *args: 0)
+def test_quantum_distance_guard_prices_each_level(monkeypatch):
+    # joins that find nothing make the search price every level up to the cap
+    monkeypatch.setattr(_kernels, "_joined", lambda *args: iter(()))
     for letter, alphabets in (("Z", ("X", "Z")), ("Y", ("XYZ",))):
         a = len(alphabets[0])
         for n in range(2, 101):
-            walk = [_kernels.join_entries(n, w, a) for w in range(1, n + 1)]
-            for w in range(1, n + 1):
-                assert _kernels._join_bound(n, w, a) >= walk[w - 1], (n, w, a)
-            keys = [None] + [len(alphabets) * k for k in walk]
+            keys = level_keys(n, alphabets)
             code = StabilizerCode.from_paulis([letter + "I" * (n - 1)])
             assert is_css(code) == (a == 1)
-            for cap in range(1, n + 1):
+            # caps 1, n/2 and n, and both sides of the refusal
+            reach = walked_guard(keys, n)[0]
+            for cap in sorted({1, n // 2, n, reach, reach + 1} & set(range(1, n + 1))):
                 res = quantum_distance(code, weight_cap=cap)
                 assert (res.searched, res.predicted_keys) == walked_guard(keys, cap), (n, cap, a)
+                assert res.stopped_by == ("cap" if res.predicted_keys is None else "work-limit")
 
 
 def column_added(code, qubit):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stab2lin import gf2, stabilizer
+from stab2lin import _kernels, gf2, stabilizer
 from stab2lin.lincode import GeneratorMatrix, codeword_table
 from stab2lin.pauli import symplectic_product_rows
 from stab2lin.stabilizer import (
@@ -340,3 +340,20 @@ def subset_ensure_r(code: StabilizerCode) -> list[ElementaryOp]:
         ElementaryOp(COLUMN_SWITCH, (i,)) if i < n else ElementaryOp(COLUMN_ADDITION, (i - n,))
         for i in best
     ]
+
+
+def level_keys(n: int, alphabets: tuple[str, ...]) -> list:
+    """``keys[w]``: the join keys a search over ``alphabets`` lists at weight
+    w = 1 .. n (``keys[0]`` is None)."""
+    return [None] + [
+        sum(_kernels.join_entries(n, w, len(a)) for a in alphabets) for w in range(1, n + 1)
+    ]
+
+
+def walked_guard(keys: list, cap: int) -> tuple[int, int | None]:
+    """Oracle: the work guard by the exact key count of every weight up to
+    ``cap``; returns (reach, predicted_keys)."""
+    for w in range(1, cap + 1):
+        if keys[w] > _kernels.MAX_JOIN_ENTRIES:
+            return w - 1, keys[w]
+    return cap, None
