@@ -309,14 +309,13 @@ def verify_phi_cmd(file, as_json):
 @json_option
 def bounds_cmd(channel, delta_from, delta_to, step, out, as_json):
     """Emit capacity-bound curve data as CSV (or JSON records)."""
-    points = _checked(list, bounds_mod.points(channel, delta_from, delta_to, step), code=2)
+    args = (channel, delta_from, delta_to, step)
+    points = _checked(list, bounds_mod.points(*args), code=2) if as_json else []
     rows = [
         {"delta": d, "curve": c.name, "kind": c.kind, "raw": c.raw(d), "clamped": c.clamped(d)}
         for d, c in points
     ]
-    csv = "delta,curve,raw,clamped\n" + "".join(
-        "{delta:.12g},{curve},{raw:.12g},{clamped:.12g}\n".format(**row) for row in rows
-    )
+    csv = "" if as_json else _checked(bounds_mod.emit_curves, *args, code=2)
     _report(as_json, {"channel": channel, "rows": rows}, csv, out)
 
 

@@ -45,10 +45,14 @@ MAX_MC_WORK = 2 * 10**9
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """A k x n generator matrix with independent rows, equal to another with
-    the same rows.  ``syndrome_cols[j]`` is the syndrome of the single-bit
-    error e_j, bit i being parity check i; both are read-only."""
+    the same rows.  ``h`` holds n - k independent parity-check rows
+    (``gf2.nullspace(rows)``), and ``syndrome_cols[j]`` is the syndrome of the
+    single-bit error e_j, bit i being parity check i (None past
+    ``NK_EXACT_LIMIT``); all three are read-only, and only ``rows`` takes
+    part in equality, hashing and the repr."""
 
     rows: np.ndarray
+    h: np.ndarray = field(init=False, repr=False)
     syndrome_cols: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -60,8 +64,9 @@ class GeneratorMatrix:
         h = gf2.nullspace(rows)
         if len(h) != rows.shape[1] - rows.shape[0]:
             raise ValueError("generator rows must be independent")
-        rows.flags.writeable = False
+        rows.flags.writeable = h.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "h", h)
         cols = None
         if len(h) <= NK_EXACT_LIMIT:  # no channel path reads them past it
             cols = np.array(gf2.to_ints(h.T), dtype=np.int64)
@@ -96,13 +101,13 @@ def codeword_table(g: GeneratorMatrix) -> np.ndarray:
     return _kernels.doubling_table(gf2.pack_rows(g.rows)[::-1], g.k)
 
 
-def lightest_codewords(rows: np.ndarray) -> tuple[int, np.ndarray]:
-    """The least weight w of a nonzero codeword of the code spanned by
-    ``rows``, and all codewords of weight w; (0, no rows) for the zero code.
-    One join of :func:`_kernels.min_weight_logicals` over {X}, with an empty
-    span and generators (0 | H), H = ``gf2.nullspace(rows)``: X^c commutes
-    with them iff c is a codeword.  Raises ``_kernels.WorkLimit`` past its guard."""
-    h = gf2.nullspace(rows)
+def lightest_codewords(h: np.ndarray) -> tuple[int, np.ndarray]:
+    """The least weight w of a nonzero codeword of the code whose parity
+    checks are the rows of ``h`` (such as ``GeneratorMatrix.h``), and all
+    codewords of weight w; (0, no rows) for the zero code.  One join of
+    :func:`_kernels.min_weight_logicals` over {X}, with an empty span and
+    generators (0 | h): X^c commutes with them iff c is a codeword.  Raises
+    ``_kernels.WorkLimit`` past its guard."""
     n = h.shape[1]
     gens = np.hstack([np.zeros_like(h), h])
     blocks = list(_kernels.min_weight_logicals(gens, gens[:0], [], n, n, ("X",)))
@@ -118,9 +123,9 @@ class MinDistanceResult:
 def min_distance(g: GeneratorMatrix) -> MinDistanceResult:
     """Minimum Hamming weight over the nonzero codewords, plus the weight
     enumerator from a 2^k sweep; past ``K_ENUM_LIMIT``, d alone (the
-    enumerator None), by :func:`lightest_codewords`."""
+    enumerator None), by :func:`lightest_codewords` on ``g.h``."""
     if g.k > K_ENUM_LIMIT:
-        return MinDistanceResult(lightest_codewords(g.rows)[0], None)
+        return MinDistanceResult(lightest_codewords(g.h)[0], None)
     hist = _kernels.codeword_weight_hist(g.rows, g.n)
     nonzero = [w for w in range(1, g.n + 1) if hist[w]]
     return MinDistanceResult(
@@ -152,16 +157,16 @@ def _check_delta(delta: float) -> float:
 class CosetLeaders:
     """Coset-leader (standard-array) data over the 2^(n-k) syndromes.
 
-    Bit i of a syndrome is parity check i.  ``syndrome_cols[j]`` is the
-    syndrome of the single-bit error e_j, ``min_weight[s]`` the leader weight
-    of the coset with syndrome s, and ``count[s]`` the number of patterns of
-    that weight in it.  Each table keeps the width its fill computes:
+    Bit i of a syndrome is parity check i of the code's
+    ``GeneratorMatrix.h``, and the syndrome of the single-bit error e_j is
+    its ``syndrome_cols[j]``.  ``min_weight[s]`` is the leader weight of the
+    coset with syndrome s, and ``count[s]`` the number of patterns of that
+    weight in it.  Each table keeps the width its fill computes:
     ``min_weight`` is int8, and ``count`` is ``np.min_scalar_type(2^k)`` on
     the grid fill (at most 2^k codewords reach a leader) and int64 on the
     search fill.
     """
 
-    syndrome_cols: np.ndarray
     min_weight: np.ndarray
     count: np.ndarray
 
@@ -193,7 +198,7 @@ def coset_leaders(g: GeneratorMatrix) -> CosetLeaders:
     else:
         min_weight = _leader_weights(cols, nk)
         count = _leader_counts(cols, min_weight)
-    return CosetLeaders(syndrome_cols=cols, min_weight=min_weight, count=count)
+    return CosetLeaders(min_weight=min_weight, count=count)
 
 
 def _leader_weights(cols: np.ndarray, nk: int) -> np.ndarray:

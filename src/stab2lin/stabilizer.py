@@ -280,8 +280,9 @@ def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
 
     With r = 0 the standard form's X part is (I_m | A1), so an element is
     fixed by its X part x (its coefficients are x on the pivot qubits), and
-    the lightest are the codewords of :func:`lincode.lightest_codewords` on
-    the X rows.  Returns the input unchanged when it already has r >= 1.
+    the lightest are those of the code spanned by the X rows:
+    :func:`lincode.lightest_codewords` on its parity checks, the null space
+    of the X rows.  Returns the input unchanged when it already has r >= 1.
     """
     sf = to_standard_form(code)
     if sf.r >= 1:
@@ -289,7 +290,7 @@ def ensure_positive_r(code: StabilizerCode) -> EnsureRResult:
     if code.m == 0:
         raise ValueError("r >= 1 cannot be reached without generators")
     n, perm = code.n, sf.qubit_permutation
-    w, xs = lincode.lightest_codewords(code.matrix[:, :n])
+    w, xs = lincode.lightest_codewords(gf2.nullspace(code.matrix[:, :n]))
     zs = gf2.mat_mul(xs[:, perm[: code.m]], sf.matrix[:, n:])[:, np.argsort(perm)]
     index = np.arange(n) + n * zs.astype(np.intp)  # of a switch or an addition on each qubit
     keys = np.sort(np.where(xs == 1, index, 2 * n), axis=1)[:, :w]

@@ -181,7 +181,7 @@ def test_lightest_codewords_match_weight_hist(case):
     d = int(np.flatnonzero(hist[1:])[0]) + 1
     for patch in PATCHES:
         with mock.patch.multiple(_kernels, **patch) if patch else nullcontext():
-            w, words = lightest_codewords(g.rows)
+            w, words = lightest_codewords(g.h)
         assert (w, len(words)) == (d, hist[d])
         assert (words.sum(axis=1) == d).all() and len(np.unique(words, axis=0)) == hist[d]
         assert not gf2.mat_mul(words, gf2.nullspace(g.rows).T).any()
@@ -271,7 +271,7 @@ def test_leader_trial_successes_matches_scalar_decoder():
         t = coset_leaders(g)
         for seed in (2, 5):
             got = _kernels.leader_trial_successes(
-                t.syndrome_cols, t.min_weight, g.n, delta, 400, seed
+                g.syndrome_cols, t.min_weight, g.n, delta, 400, seed
             )
             assert got == scalar_successes(g, delta, 400, seed)
 
@@ -340,7 +340,7 @@ def test_both_kernels_match_scalar_decoder(g, delta, seed, chunk, block):
     with mock.patch.object(_kernels, "_TRIAL_CHUNK", chunk), \
             mock.patch.object(_kernels, "_DIST_BLOCK", block):
         assert _kernels.bsc_trial_successes(codeword_table(g), g.n, delta, trials, seed) == expected
-        got = _kernels.leader_trial_successes(t.syndrome_cols, t.min_weight, g.n, delta, trials, seed)
+        got = _kernels.leader_trial_successes(g.syndrome_cols, t.min_weight, g.n, delta, trials, seed)
     assert got == expected
 
 
@@ -355,5 +355,5 @@ def test_kernels_multiword():
                                       rng.integers(0, 2, (52, 18)).astype(np.uint8)]))
     t = coset_leaders(high)
     for delta in (0.02, 0.1):
-        got = _kernels.leader_trial_successes(t.syndrome_cols, t.min_weight, 70, delta, 300, 9)
-        assert got == scalar_leader_successes(t.syndrome_cols, t.min_weight, 70, delta, 300, 9)
+        got = _kernels.leader_trial_successes(high.syndrome_cols, t.min_weight, 70, delta, 300, 9)
+        assert got == scalar_leader_successes(high.syndrome_cols, t.min_weight, 70, delta, 300, 9)

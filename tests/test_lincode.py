@@ -69,10 +69,12 @@ def test_generator_rows_are_read_only_and_hash_by_value(g52):
     assert GeneratorMatrix(wide) != GeneratorMatrix(wide.reshape(1, 8))
     with pytest.raises(ValueError, match="read-only"):
         g52.rows[1] = g52.rows[0]
-    # the coset-leader table shares the columns, so they cannot change either
+    # nor can the parity checks and syndrome columns derived from them
     with pytest.raises(ValueError, match="read-only"):
-        coset_leaders(g52).syndrome_cols[0] = 0
-    assert "syndrome_cols" not in repr(g52)
+        g52.h[0] = g52.h[1]
+    with pytest.raises(ValueError, match="read-only"):
+        g52.syndrome_cols[0] = 0
+    assert "syndrome_cols" not in repr(g52) and "h=" not in repr(g52)
     # past the exact-channel limit no syndrome columns are derived
     long = GeneratorMatrix(np.eye(1, lincode.NK_EXACT_LIMIT + 2, dtype=np.uint8))
     assert long.syndrome_cols is None
@@ -135,7 +137,7 @@ def test_min_distance_past_the_enumeration_limit_by_join(monkeypatch):
     g = hamming_direct_sum(8)
     assert g.k > lincode.K_ENUM_LIMIT
     assert min_distance(g) == lincode.MinDistanceResult(3, None)
-    w, words = lincode.lightest_codewords(g.rows)
+    w, words = lincode.lightest_codewords(g.h)
     assert (w, len(words)) == (3, 56)
     assert (words.sum(axis=1) == 3).all() and len(np.unique(words, axis=0)) == 56
     assert not gf2.mat_mul(words, gf2.nullspace(g.rows).T).any()
@@ -151,13 +153,13 @@ def test_lightest_codewords_guard_prices_each_weight(monkeypatch):
     monkeypatch.setattr(_kernels, "_joined", lambda *args: iter(()))
     for n in range(2, 101):
         reach, predicted = walked_guard(level_keys(n, ("X",)), n)
-        rows = np.eye(1, n, dtype=np.uint8)
+        h = np.eye(n - 1, n, 1, dtype=np.uint8)  # parity checks of {0, e_0}
         if predicted is None:
-            assert lincode.lightest_codewords(rows)[0] == 0, n
+            assert lincode.lightest_codewords(h)[0] == 0, n
             continue
         keys = f"searching weight {reach + 1} would list {predicted:.2g} join keys"
         with pytest.raises(_kernels.WorkLimit, match=re.escape(keys)) as refused:
-            lincode.lightest_codewords(rows)
+            lincode.lightest_codewords(h)
         assert (refused.value.searched, refused.value.keys) == (reach, predicted), n
 
 
@@ -431,6 +433,22 @@ def with_edge_codes(*args):
     return decorate
 
 
+@with_edge_codes()
+@given(codes())
+@settings(max_examples=40, deadline=None)
+def test_parity_checks_and_lightest_codewords_match_enumeration(g):
+    # h: n - k independent rows orthogonal to every generator row
+    assert g.h.shape == (g.n - g.k, g.n) and gf2.rank(g.h) == g.n - g.k
+    assert not gf2.mat_mul(g.rows, g.h.T).any()
+    # the join on h finds the least nonzero weight of the 2^k enumeration,
+    # and exactly its codewords of that weight
+    words = np.array([cw for _, cw in all_codewords(g)[1:]])
+    d = int(words.sum(axis=1).min())
+    w, lightest = lincode.lightest_codewords(g.h)
+    assert w == d
+    assert sorted(map(bytes, lightest)) == sorted(map(bytes, words[words.sum(axis=1) == d]))
+
+
 def decode_histogram(g):
     """Oracle: weights of the patterns that decode_nearest maps to message 0."""
     hist = np.zeros(g.n + 1, dtype=np.int64)
@@ -528,7 +546,7 @@ def test_exact_channel_peaks_below_four_bytes_per_syndrome():
 def test_monte_carlo_paths_agree(g, seed, trials, delta):
     table = coset_leaders(g)
     by_syndrome = _kernels.leader_trial_successes(
-        table.syndrome_cols, table.min_weight, g.n, delta, trials, seed
+        g.syndrome_cols, table.min_weight, g.n, delta, trials, seed
     )
     by_codeword = _kernels.bsc_trial_successes(codeword_table(g), g.n, delta, trials, seed)
     assert by_syndrome == by_codeword
