@@ -169,9 +169,7 @@ def standardize(file, ensure_r, out, as_json):
 def extract(file, ensure_r, out, as_json):
     """Extract the classical binary linear code of a stabilizer file."""
     sf, ensure_r_ops = _standardized(file, ensure_r)
-    if sf.k == 0:
-        _fail("no encoded qubits, no classical code (k = 0)", 1)
-    result = extract_classical(sf)
+    result = _checked(extract_classical, sf)
     if result.r_zero_warning:
         click.echo(
             "warning: r = 0, extraction yields an (n, k) code; "

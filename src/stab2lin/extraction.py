@@ -46,7 +46,7 @@ class ExtractionResult:
 def extract_classical(sf: StandardForm) -> ExtractionResult:
     """Build (A1^T | I_k) from a standard form. Requires k >= 1."""
     if sf.k == 0:
-        raise ValueError("no encoded qubits, no classical code")
+        raise ValueError("no encoded qubits, no classical code (k = 0)")
     gen = np.hstack([sf.a1.T, np.eye(sf.k, dtype=np.uint8)])
     return ExtractionResult(
         generator=gen,

@@ -15,6 +15,7 @@ Row-operation traces are lists of ``(target, source)`` pairs meaning
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,13 @@ class RrefResult:
         return len(self.pivots)
 
 
-def rref(m: np.ndarray, columns: range | None = None) -> RrefResult:
+def rref(m: np.ndarray, columns: Sequence[int] | None = None) -> RrefResult:
     """Reduced row-echelon form over GF(2), with pivots sought only in
-    ``columns`` (default: all columns).  Each row addition acts on the whole
-    row, so columns outside the range change but are not reduced.
+    ``columns``, any sequence of column indices scanned in the order given
+    (default: all columns, left to right).  Each row addition acts on the
+    whole row, so columns outside the sequence change but are not reduced.
 
-    Pivot rule: leftmost column, then lowest eligible row.  A row swap is
+    Pivot rule: first column scanned, then lowest eligible row.  A row swap is
     recorded as three row additions, so the trace holds row additions only.
     """
     mat = as_bits(m, copy=False)
@@ -59,7 +61,7 @@ def rref(m: np.ndarray, columns: range | None = None) -> RrefResult:
     pivots: list[int] = []
     trace: list[RowOp] = []
     rr = 0
-    for c in range(mat.shape[1]) if columns is None else columns:
+    for c in range(mat.shape[1]) if columns is None else map(int, columns):
         if rr == len(rows):
             break
         p = next((i for i in range(rr, len(rows)) if rows[i] >> c & 1), None)

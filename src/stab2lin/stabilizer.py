@@ -197,56 +197,54 @@ class StandardForm(StabilizerCode):
     c2 = _block(1, 1, 1)
 
 
-def _transpose_columns(work, trace, perm, i, j, n):
-    work[:, [i, j]] = work[:, [j, i]]
-    work[:, [n + i, n + j]] = work[:, [n + j, n + i]]
-    perm[[i, j]] = perm[[j, i]]
-    trace.append(ElementaryOp(COLUMN_TRANSPOSITION, (i, j)))
-
-
 def to_standard_form(code: StabilizerCode) -> StandardForm:
-    """Reduce a valid code to standard form, tracing every operation."""
+    """Reduce a valid code to standard form, tracing every operation.
+
+    Row additions commute with column transpositions, so a transposition only
+    swaps two entries of the permutation, and the matrix is gathered into its
+    standardized column order once, at the end.  Stage 2 scans the Z columns
+    in their moved order, so its pivots and row operations are those of an
+    elimination on the moved matrix.
+    """
     report = validate(code)
     if not report.ok:
         raise ValueError(f"input is not a valid stabilizer code: {report}")
     n, m = code.n, code.m
-    perm = np.arange(n)
+    perm = list(range(n))  # perm[p]: the original qubit at position p
+    at = list(range(n))  # at[q]: the position of original qubit q
 
     # Stage 1: eliminate the X submatrix, then move pivot columns to the front.
     stage1 = gf2.rref(code.matrix, range(n))
     work = stage1.matrix
     trace = [ElementaryOp(ROW_ADDITION, op) for op in stage1.trace]
     s = stage1.rank
+
+    def transpose(i, j):
+        perm[i], perm[j] = perm[j], perm[i]
+        at[perm[i]], at[perm[j]] = i, j
+        trace.append(ElementaryOp(COLUMN_TRANSPOSITION, (i, j)))
+
     for i, p in enumerate(stage1.pivots):
         if p != i:
-            _transpose_columns(work, trace, perm, i, p, n)
+            transpose(i, p)
 
     # Stage 2: eliminate E4 = Z[s:, s:] among the last r generators only.
     r = m - s
-    stage2 = gf2.rref(work[s:], range(n + s, 2 * n))
+    stage2 = gf2.rref(work[s:], [n + p for p in perm[s:]])
     work[s:] = stage2.matrix
     trace += [ElementaryOp(ROW_ADDITION, (t + s, u + s)) for t, u in stage2.trace]
-    z_pivots = stage2.pivots
-    r1 = len(z_pivots)
-    if r1 < r:
+    if stage2.rank < r:
         raise StandardFormError(
-            f"E4 rank {r1} < r = {r}: zero/non-commuting residual generators "
+            f"E4 rank {stage2.rank} < r = {r}: zero/non-commuting residual generators "
             "(impossible for a valid code; input or reduction is broken)"
         )
 
     # Move the E4 pivot columns to the last r qubit positions, pivot-row order.
-    cur = [p - n for p in z_pivots]  # qubit positions of the pivots
-    for i in range(r):
-        tgt = n - r + i
-        if cur[i] == tgt:
-            continue
-        _transpose_columns(work, trace, perm, cur[i], tgt, n)
-        for j in range(i + 1, r):
-            if cur[j] == tgt:
-                cur[j] = cur[i]
-                break
-        cur[i] = tgt
+    for i, p in enumerate(stage2.pivots):
+        if at[p - n] != n - r + i:
+            transpose(at[p - n], n - r + i)
 
+    work = work[:, perm + [n + p for p in perm]]
     if not (
         np.array_equal(work[:s, :s], np.eye(s))
         and not work[s:, :n].any()

@@ -49,7 +49,9 @@ def _argvs() -> list[list[str]]:
             ["simulate", f, "--delta", "0.05", "--trials", "2000", "--seed", "7"],
         ]
     for channel in ("adversarial", "depolarizing"):
-        runs.append(["bounds", "--channel", channel, "--from", "0", "--to", "0.1", "--step", "0.025"])
+        runs.append(
+            ["bounds", "--channel", channel, "--from", "0", "--to", "0.1", "--step", "0.025"]
+        )
     return [argv + extra for argv in runs for extra in ([], ["--json"])]
 
 

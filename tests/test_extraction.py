@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stab2lin import gf2, lincode
 from stab2lin.extraction import extract_classical
 from stab2lin.formats import load_stabilizer
-from stab2lin.stabilizer import StabilizerCode, StandardForm, to_standard_form, quantum_distance
+from stab2lin.stabilizer import (
+    StabilizerCode,
+    StandardForm,
+    ensure_positive_r,
+    quantum_distance,
+    to_standard_form,
+)
 
-from util import data_path, random_stabilizer_code
+from util import data_path, random_css_code, random_stabilizer_code, rotated_surface_code
 
 
 def _synthetic_sf(s, k, r, a1=None):
@@ -81,8 +89,6 @@ def test_parity_check_consistency():
 
 
 def test_ensure_r_sharpens_five_one_to_four_one():
-    from stab2lin.stabilizer import ensure_positive_r
-
     code = load_stabilizer(data_path("five_one.stab"))
     fixed = ensure_positive_r(code).code
     sf = to_standard_form(fixed)
@@ -103,3 +109,34 @@ def test_distance_inequality_on_corpus():
         res = extract_classical(sf)
         dc = lincode.min_distance(lincode.GeneratorMatrix(res.generator)).distance
         assert (dc - 1) // 2 >= (dq.value - 1) // 2, name
+
+
+def _extracted_distances(code: StabilizerCode) -> tuple[int, int]:
+    """d_c of the (n - r, k) extraction and of the (n - 1, k) extraction
+    after ``ensure_positive_r``."""
+    return tuple(
+        lincode.min_distance(lincode.GeneratorMatrix(extract_classical(sf).generator)).distance
+        for sf in (to_standard_form(code), ensure_positive_r(code).standard_form)
+    )
+
+
+@given(st.booleans(), st.integers(2, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_quantum_distance_at_most_extracted_distance(css, n, seed):
+    # d_q <= d_c for every code, degenerate or not, CSS or not
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n))  # k >= 1
+    if css:
+        rz = int(rng.integers(0, m + 1))
+        code = random_css_code(rng, n, m - rz, rz)
+    else:
+        code = random_stabilizer_code(rng, n, m)
+    dq = quantum_distance(code).value
+    assert all(dq <= dc for dc in _extracted_distances(code))
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_surface_code_extraction_is_tight(d):
+    code = rotated_surface_code(d)
+    assert quantum_distance(code).value == d
+    assert _extracted_distances(code) == (d, d)

@@ -167,8 +167,10 @@ def test_rref_matches_reference(data):
     cols = data.draw(st.integers(0, 70))
     lo = data.draw(st.integers(0, cols))
     hi = data.draw(st.one_of(st.just(lo), st.just(cols), st.integers(lo, cols)))
-    columns = data.draw(st.sampled_from([None, range(lo, hi)]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # a window, or any subset of the columns in any order
+    shuffled = rng.permutation(cols)[: data.draw(st.integers(0, cols))].tolist()
+    columns = data.draw(st.sampled_from([None, range(lo, hi), shuffled, np.arange(lo, hi)]))
     m = (rng.random((rows, cols)) < data.draw(st.floats(0.0, 1.0))).astype(np.uint8)
     if rows > 2:
         m[rng.integers(rows)] = 0
@@ -179,6 +181,27 @@ def test_rref_matches_reference(data):
     assert np.array_equal(m, before)
     assert got.matrix.dtype == np.uint8 and np.array_equal(got.matrix, want.matrix)
     assert got.pivots == want.pivots
+    assert got.trace == want.trace
+
+
+def test_rref_numpy_columns_past_63_bits():
+    # a numpy column index must not reach the shift of a packed row wider
+    # than 64 bits
+    m = (np.random.default_rng(5).random((5, 70)) < 0.5).astype(np.uint8)
+    m[:, 65:] = m[:, :5] ^ 1
+    got = gf2.rref(m, np.arange(70))
+    want = gf2.rref(m, range(70))
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.pivots == want.pivots and got.trace == want.trace
+    assert all(type(p) is int for p in got.pivots)
+
+
+def test_rref_scans_columns_in_the_order_given():
+    m = (np.random.default_rng(6).random((5, 70)) < 0.5).astype(np.uint8)
+    columns = np.random.default_rng(7).permutation(70).tolist()
+    got, want = gf2.rref(m, columns), reference_rref(m, columns)
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.pivots == want.pivots == [c for c in columns if c in got.pivots]
     assert got.trace == want.trace
 
 

@@ -46,6 +46,7 @@ from util import (
     random_r_zero_code,
     random_stabilizer_code,
     reference_logical_algebra_ok,
+    reference_standard_form,
     rotated_surface_code,
     subset_ensure_r,
     walked_guard,
@@ -152,6 +153,50 @@ def test_standard_form_xx_zz():
 def test_standard_form_rejects_invalid():
     with pytest.raises(ValueError):
         to_standard_form(StabilizerCode.from_paulis(["XII", "ZII"]))
+
+
+def _matches_reference_standard_form(code: StabilizerCode) -> int:
+    """Assert that ``to_standard_form`` gives the reference's matrix,
+    permutation and trace bit for bit; return the reference's count of
+    displaced stage-2 pivots."""
+    got = to_standard_form(code)
+    want, displaced = reference_standard_form(code)
+    assert got.s == want.s and np.array_equal(got.matrix, want.matrix)
+    assert got.qubit_permutation.dtype == want.qubit_permutation.dtype
+    assert np.array_equal(got.qubit_permutation, want.qubit_permutation)
+    assert got.op_trace == want.op_trace
+    assert all(type(i) is int for op in got.op_trace for i in op.indices)
+    return displaced
+
+
+@given(st.sampled_from(["random", "r=0", "css"]), st.integers(1, 12), st.integers(0, 11),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+@example("random", 6, 5, 0)  # m = n, so k = 0
+@example("r=0", 6, 3, 0)
+@example("css", 8, 4, 0)
+def test_standard_form_matches_reference(kind, n, m, seed):
+    rng = np.random.default_rng(seed)
+    m = 1 + m % n
+    if kind == "random":
+        code = random_stabilizer_code(rng, n, m)
+    elif kind == "r=0":
+        code = random_r_zero_code(rng, n, m)
+        assert to_standard_form(code).r == 0
+    else:
+        m = max(m, 2)  # at least two Z generators
+        if m > n:
+            return
+        rz = int(rng.integers(2, m + 1))
+        code = random_css_code(rng, n, m - rz, rz)
+    _matches_reference_standard_form(code)
+
+
+@pytest.mark.parametrize("d, displaced", [(2, 1), (3, 3), (4, 7), (5, 11), (6, 17), (7, 23)])
+def test_standard_form_matches_reference_on_surface_codes(d, displaced):
+    # random codes rarely move a stage-2 pivot onto the target of another
+    # pivot's move; every rotated surface code does
+    assert _matches_reference_standard_form(rotated_surface_code(d)) == displaced
 
 
 def test_standard_form_parameters_on_random_codes():

@@ -22,8 +22,10 @@ from stab2lin.stabilizer import (
     ElementaryOp,
     StabilizerCode,
     StandardForm,
+    StandardFormError,
     apply_ops,
     to_standard_form,
+    validate,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "stab2lin" / "data"
@@ -217,10 +219,11 @@ def random_elementary_op(rng: np.random.Generator, n: int, m: int) -> Elementary
     return ElementaryOp(kind, (int(rng.integers(n)),))
 
 
-def reference_rref(m: np.ndarray, columns: range | None = None) -> gf2.RrefResult:
+def reference_rref(m: np.ndarray, columns=None) -> gf2.RrefResult:
     """Reference for ``gf2.rref``: the pivot loop on numpy bit rows.  Pivot
-    rule: leftmost column of ``columns``, then lowest eligible row; a swap is
-    three row additions, and every addition acts on the whole row."""
+    rule: first column of ``columns`` (any sequence of column indices, in its
+    own order), then lowest eligible row; a swap is three row additions, and
+    every addition acts on the whole row."""
     mat = gf2.as_bits(m)
     rows, cols = mat.shape
     pivots: list[int] = []
@@ -242,9 +245,73 @@ def reference_rref(m: np.ndarray, columns: range | None = None) -> gf2.RrefResul
             if i != rr:
                 mat[i] ^= mat[rr]
                 trace.append((i, rr))
-        pivots.append(c)
+        pivots.append(int(c))
         rr += 1
     return gf2.RrefResult(mat, pivots, trace)
+
+
+def _transpose_columns(work, trace, perm, i, j, n):
+    work[:, [i, j]] = work[:, [j, i]]
+    work[:, [n + i, n + j]] = work[:, [n + j, n + i]]
+    perm[[i, j]] = perm[[j, i]]
+    trace.append(ElementaryOp(COLUMN_TRANSPOSITION, (i, j)))
+
+
+def reference_standard_form(code: StabilizerCode) -> tuple[StandardForm, int]:
+    """Reference for ``to_standard_form``: the reduction that moves the columns
+    of both halves of the whole matrix at every transposition, and eliminates
+    stage 2 on the moved matrix.  Also returns how many stage-2 moves
+    displaced a later pivot from its target position."""
+    report = validate(code)
+    if not report.ok:
+        raise ValueError(f"input is not a valid stabilizer code: {report}")
+    n, m = code.n, code.m
+    perm = np.arange(n)
+    displaced = 0
+
+    # Stage 1: eliminate the X submatrix, then move pivot columns to the front.
+    stage1 = gf2.rref(code.matrix, range(n))
+    work = stage1.matrix
+    trace = [ElementaryOp(ROW_ADDITION, op) for op in stage1.trace]
+    s = stage1.rank
+    for i, p in enumerate(stage1.pivots):
+        if p != i:
+            _transpose_columns(work, trace, perm, i, p, n)
+
+    # Stage 2: eliminate E4 = Z[s:, s:] among the last r generators only.
+    r = m - s
+    stage2 = gf2.rref(work[s:], range(n + s, 2 * n))
+    work[s:] = stage2.matrix
+    trace += [ElementaryOp(ROW_ADDITION, (t + s, u + s)) for t, u in stage2.trace]
+    z_pivots = stage2.pivots
+    r1 = len(z_pivots)
+    if r1 < r:
+        raise StandardFormError(
+            f"E4 rank {r1} < r = {r}: zero/non-commuting residual generators "
+            "(impossible for a valid code; input or reduction is broken)"
+        )
+
+    # Move the E4 pivot columns to the last r qubit positions, pivot-row order.
+    cur = [p - n for p in z_pivots]  # qubit positions of the pivots
+    for i in range(r):
+        tgt = n - r + i
+        if cur[i] == tgt:
+            continue
+        _transpose_columns(work, trace, perm, cur[i], tgt, n)
+        for j in range(i + 1, r):
+            if cur[j] == tgt:
+                cur[j] = cur[i]
+                displaced += 1
+                break
+        cur[i] = tgt
+
+    if not (
+        np.array_equal(work[:s, :s], np.eye(s))
+        and not work[s:, :n].any()
+        and np.array_equal(work[s:, 2 * n - r :], np.eye(r))
+    ):
+        raise StandardFormError("the reduction left I_s, the zero X part or I_r out of place")
+    return StandardForm(work, n, s, perm, trace), displaced
 
 
 def replay_row_ops(m: np.ndarray, trace: list[gf2.RowOp]) -> np.ndarray:
