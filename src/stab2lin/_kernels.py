@@ -25,6 +25,7 @@ from math import ceil, comb
 import numpy as np
 
 from . import gf2
+from .pauli import parse_pauli
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -68,7 +69,7 @@ def codeword_weight_hist(rows: np.ndarray, n: int) -> np.ndarray:
     packed = gf2.pack_rows(rows)
     k = packed.shape[0]
     hist = np.zeros(n + 1, dtype=np.int64)
-    base = min(k, 20)
+    base = min(k, 20 - (packed.shape[1] - 1).bit_length())  # a table of at most 2^20 words
     table = doubling_table(packed, base)
     cur = np.zeros(packed.shape[1], dtype=np.uint64)
     rest = packed[base:]
@@ -98,8 +99,6 @@ _MASK_PROBE = 1 << 12
 # One join covers a range of split points while its sorted (smaller) side
 # stays within this many keys (chosen by a sweep of 2^10 .. 2^16, BENCH_11.json).
 _GROUP_KEYS = 1 << 11
-# (x bit, z bit) of each single-qubit letter
-_LETTERS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
 def _single_syndromes(gens: np.ndarray, n: int, alphabet: str) -> np.ndarray:
@@ -114,7 +113,8 @@ def _single_syndromes(gens: np.ndarray, n: int, alphabet: str) -> np.ndarray:
     ])[:, None]
     sx = np.bitwise_xor.reduce(np.where(gens[:, n:] == 1, masks, 0), axis=0)
     sz = np.bitwise_xor.reduce(np.where(gens[:, :n] == 1, masks, 0), axis=0)
-    return np.stack([sx * x ^ sz * z for x, z in map(_LETTERS.get, alphabet)], axis=1)
+    x, z = parse_pauli(alphabet).reshape(2, -1)
+    return sx[:, None] * x ^ sz[:, None] * z
 
 
 class _SubsetTables:
@@ -234,7 +234,7 @@ def _paulis(pos: np.ndarray, letters: np.ndarray, n: int, alphabet: str) -> np.n
     """(P, 2n) bit rows of the Paulis with the given positions and base-a
     letter indices (digit j for column j of ``pos``, least significant first)."""
     a, t = len(alphabet), pos.shape[1]
-    x, z = np.array([_LETTERS[c] for c in alphabet], dtype=np.uint8).T
+    x, z = parse_pauli(alphabet).reshape(2, -1)
     v = np.zeros((len(pos), 2 * n), dtype=np.uint8)
     rows = np.arange(len(pos))[:, None]
     let = letters[:, None] // a ** np.arange(t) % a

@@ -240,7 +240,8 @@ def distance(file, mode, cap, as_json):
         }
         text = f"d={result.distance} t={t}"
         if enumerator is None:
-            text += f"; weight enumerator not computed (k > {lincode.K_ENUM_LIMIT})"
+            limit = lincode.K_ENUM_LIMIT
+            text += f"; weight enumerator not computed (2^k * ceil(n/64) > 2^{limit})"
     _report(as_json, payload, text + "\n")
 
 

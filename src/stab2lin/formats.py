@@ -1,5 +1,7 @@
 """Text file formats for stabilizer codes and generator matrices.
 
+Lines end at LF, CRLF or CR, and at nothing else.
+
 Stabilizer files: UTF-8, '#' starts a comment, each non-blank line is either
 a Pauli string over {I, X, Y, Z} (optional '+' prefix) or a binary line
 "a_1...a_n|b_1...b_n".  One file, one format; mixing is rejected.
@@ -25,8 +27,14 @@ class FormatError(ValueError):
         self.line = line
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of a text, split at LF, CRLF and CR only (``str.splitlines``
+    also splits at VT, FF, NEL, U+2028 and more)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -57,7 +65,7 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
                 )
             if not left or set(left + right) - {"0", "1"}:
                 raise FormatError("binary line must be nonempty over {0,1}", lineno)
-            row = np.array([int(c) for c in left + right], dtype=np.uint8)
+            row = np.frombuffer((left + right).encode(), np.uint8) - ord("0")
         if rows and len(row) != len(rows[0]):
             n = len(rows[0]) // 2
             raise FormatError(f"expected {n} positions, got {len(row) // 2}", lineno)
@@ -73,7 +81,7 @@ def _read_text(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len(_lines(data[: exc.start].decode("utf-8")))
         raise FormatError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})", line) from exc
 
 
@@ -97,10 +105,11 @@ def parse_generator_text(text: str) -> GeneratorMatrix:
             n = len(line)
         elif len(line) != n:
             raise FormatError(f"expected {n} columns, got {len(line)}", lineno)
-        rows.append([int(c) for c in line])
+        rows.append(line)
     if not rows:
         raise FormatError("no generator rows found", 1)
-    return GeneratorMatrix(np.array(rows, dtype=np.uint8))
+    bits = np.frombuffer("".join(rows).encode(), np.uint8) - ord("0")
+    return GeneratorMatrix(bits.reshape(-1, n))
 
 
 def load_generator(path) -> GeneratorMatrix:
@@ -109,5 +118,5 @@ def load_generator(path) -> GeneratorMatrix:
 
 def write_generator_text(g: GeneratorMatrix, comments: list[str] | None = None) -> str:
     lines = [f"# {c}" for c in (comments or [])]
-    lines.extend("".join(str(int(b)) for b in row) for row in g.rows)
+    lines.extend(row.tobytes().decode() for row in g.rows + ord("0"))
     return "\n".join(lines) + "\n"

@@ -30,9 +30,11 @@ import numpy as np
 
 from . import _kernels, gf2
 
-K_ENUM_LIMIT = 28  # 2^k codeword sweeps
+# 2^k codewords of n bits take 2^k ceil(n/64) 64-bit words; a sweep over
+# them and an in-memory table of them are priced in those words.
+K_ENUM_LIMIT = 28  # 2^K_ENUM_LIMIT words of codeword sweeps
 NK_EXACT_LIMIT = 23  # 2^(n-k) coset-leader tables
-K_TABLE_LIMIT = 24  # in-memory codeword tables for decoding
+K_TABLE_LIMIT = 24  # 2^K_TABLE_LIMIT words of in-memory codeword tables for decoding
 _CHUNK = 1 << 20  # array elements per frontier chunk of the leader search
 # bsc_monte_carlo refuses a run predicted to draw more trial bits (trials * n)
 # plus trial-codeword comparisons than this.  Measured on one core, a trial bit
@@ -90,14 +92,23 @@ class GeneratorMatrix:
         return self.rows.shape[1]
 
 
+def _codeword_words(g: GeneratorMatrix) -> int:
+    """The 64-bit words of all 2^k packed codewords: 2^k ceil(n/64)."""
+    return (1 << g.k) * -(-g.n // 64)
+
+
 def codeword_table(g: GeneratorMatrix) -> np.ndarray:
     """All 2^k codewords as packed uint64 words, indexed by big-endian message.
 
     Numeric index order coincides with lexicographic message order, so a
-    first-minimum scan implements the documented tie-break.
+    first-minimum scan implements the documented tie-break.  Refuses a table
+    of more than 2^K_TABLE_LIMIT words.
     """
-    if g.k > K_TABLE_LIMIT:
-        raise ValueError(f"k = {g.k} too large for an in-memory codeword table")
+    if _codeword_words(g) > 1 << K_TABLE_LIMIT:
+        raise ValueError(
+            f"k = {g.k} too large for an in-memory codeword table at n = {g.n}: "
+            f"2^k * ceil(n/64) words must not exceed 2^{K_TABLE_LIMIT}"
+        )
     return _kernels.doubling_table(gf2.pack_rows(g.rows)[::-1], g.k)
 
 
@@ -122,9 +133,10 @@ class MinDistanceResult:
 
 def min_distance(g: GeneratorMatrix) -> MinDistanceResult:
     """Minimum Hamming weight over the nonzero codewords, plus the weight
-    enumerator from a 2^k sweep; past ``K_ENUM_LIMIT``, d alone (the
-    enumerator None), by :func:`lightest_codewords` on ``g.h``."""
-    if g.k > K_ENUM_LIMIT:
+    enumerator from a 2^k sweep; past 2^K_ENUM_LIMIT swept words
+    (2^k ceil(n/64)), d alone (the enumerator None), by
+    :func:`lightest_codewords` on ``g.h``."""
+    if _codeword_words(g) > 1 << K_ENUM_LIMIT:
         return MinDistanceResult(lightest_codewords(g.h)[0], None)
     hist = _kernels.codeword_weight_hist(g.rows, g.n)
     nonzero = [w for w in range(1, g.n + 1) if hist[w]]

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import gf2
 
-_CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
+_BITS_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+# both cases, read from the table: str.upper would also map 'ı' to 'I'
+_CHAR_TO_BITS = {c: bits for bits, ch in _BITS_TO_CHAR.items() for c in (ch, ch.lower())}
 
 
 class PauliParseError(ValueError):
@@ -35,7 +36,7 @@ def parse_pauli(text: str) -> np.ndarray:
         text = text[1:]
     if not text:
         raise PauliParseError("empty Pauli string", 1)
-    bits = [_CHAR_TO_BITS.get(ch.upper()) for ch in text]
+    bits = [_CHAR_TO_BITS.get(ch) for ch in text]
     if None in bits:
         i = bits.index(None)
         raise PauliParseError(f"invalid symbol {text[i]!r}", i + 1)

@@ -204,11 +204,10 @@ def to_standard_form(code: StabilizerCode) -> StandardForm:
     swaps two entries of the permutation, and the matrix is gathered into its
     standardized column order once, at the end.  Stage 2 scans the Z columns
     in their moved order, so its pivots and row operations are those of an
-    elimination on the moved matrix.
+    elimination on the moved matrix.  An invalid code raises ValueError.
     """
-    report = validate(code)
-    if not report.ok:
-        raise ValueError(f"input is not a valid stabilizer code: {report}")
+    if symplectic_product_rows(code.matrix).any():
+        raise ValueError("some generators anticommute")
     n, m = code.n, code.m
     perm = list(range(n))  # perm[p]: the original qubit at position p
     at = list(range(n))  # at[q]: the position of original qubit q
@@ -233,11 +232,10 @@ def to_standard_form(code: StabilizerCode) -> StandardForm:
     stage2 = gf2.rref(work[s:], [n + p for p in perm[s:]])
     work[s:] = stage2.matrix
     trace += [ElementaryOp(ROW_ADDITION, (t + s, u + s)) for t, u in stage2.trace]
+    # A nonzero Z-only row sum on the stage-1 pivot qubits anticommutes with a
+    # pivot row, so with commuting rows E4 is short only when a row is dependent.
     if stage2.rank < r:
-        raise StandardFormError(
-            f"E4 rank {stage2.rank} < r = {r}: zero/non-commuting residual generators "
-            "(impossible for a valid code; input or reduction is broken)"
-        )
+        raise ValueError("the generators are dependent")
 
     # Move the E4 pivot columns to the last r qubit positions, pivot-row order.
     for i, p in enumerate(stage2.pivots):

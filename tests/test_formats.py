@@ -106,3 +106,41 @@ def test_generator_dependent_rows_rejected():
 
 def test_generator_type():
     assert isinstance(load_generator(data_path("seven_three.gmat")), GeneratorMatrix)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # VT and FF end no line: each is a bad symbol inside line 1
+    ("X\vZ\nQQ\n", 1, "invalid symbol '\\x0b' at position 2"),
+    ("XZ\fZX\n", 1, "invalid symbol '\\x0c' at position 3"),
+    ("XZ\x85ZX\n", 1, "invalid symbol '\\x85' at position 3"),
+    ("XZ\u2028ZX\n", 1, "invalid symbol '\\u2028' at position 3"),
+    # LF, CRLF and CR each end one line
+    ("XZ\r\nZX\rXQ\n", 3, "invalid symbol 'Q' at position 2"),
+])
+def test_lines_end_at_lf_crlf_and_cr_only(text, line, message):
+    with pytest.raises(FormatError) as exc:
+        parse_stabilizer_text(text)
+    assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
+
+
+def test_line_breaks_in_generator_files():
+    assert parse_generator_text("10\r\n01\r").k == 2
+    with pytest.raises(FormatError) as exc:
+        parse_generator_text("10\f01\n")
+    assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"XZ\vZX\n\xff\n", 2),
+    (b"XZ\x0cZX\xff\n", 1),
+    (b"XZ\r\nZX\rZZ\n\xff", 4),
+    (b"\xc2\x85XZ\n\xff", 2),  # NEL is a character of line 1
+    (b"\xff", 1),
+])
+def test_utf8_error_line_counts_lines_as_the_parser_does(tmp_path, data, line):
+    path = tmp_path / "bad.stab"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as exc:
+        load_stabilizer(path)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: not UTF-8 text (byte 0xff)")

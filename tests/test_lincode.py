@@ -148,6 +148,67 @@ def test_min_distance_past_the_enumeration_limit_by_join(monkeypatch):
         min_distance(g)
 
 
+def _weight_three_code(n: int, k: int) -> GeneratorMatrix:
+    """(I_k | A) with disjoint weight-2 rows of A: a sum of j rows weighs 3j."""
+    rows = np.zeros((k, n), dtype=np.uint8)
+    rows[:, :k] = np.eye(k, dtype=np.uint8)
+    rows[np.arange(k), k + 2 * np.arange(k)] = rows[np.arange(k), k + 2 * np.arange(k) + 1] = 1
+    return GeneratorMatrix(rows)
+
+
+@pytest.mark.parametrize("n, k, sweeps", [
+    (64, 28, True), (65, 28, False), (65, 27, True), (128, 27, True), (129, 27, False),
+    (256, 26, True), (257, 26, False),
+])
+def test_sweep_limit_prices_words(monkeypatch, n, k, sweeps):
+    # a sweep passes 2^k ceil(n/64) words and runs up to 2^K_ENUM_LIMIT of them
+    hist = np.zeros(n + 1, dtype=np.int64)
+    hist[[0, 1]] = 1
+    monkeypatch.setattr(_kernels, "codeword_weight_hist", lambda rows, n: hist)
+    monkeypatch.setattr(lincode, "lightest_codewords", lambda h: (1, h[:0]))
+    g = GeneratorMatrix(np.eye(k, n, dtype=np.uint8))
+    assert min_distance(g).weight_enumerator == ({0: 1, 1: 1} if sweeps else None)
+
+
+@pytest.mark.parametrize("n, k, builds", [
+    (64, 24, True), (65, 24, False), (65, 23, True), (128, 23, True), (129, 23, False),
+])
+def test_codeword_table_limit_prices_words(monkeypatch, n, k, builds):
+    monkeypatch.setattr(_kernels, "doubling_table", lambda rows, upto: "built")
+    g = GeneratorMatrix(np.eye(k, n, dtype=np.uint8))
+    if builds:
+        assert codeword_table(g) == "built"
+    else:
+        with pytest.raises(ValueError, match=r"2\^k \* ceil\(n/64\) words must not exceed 2\^24"):
+            codeword_table(g)
+
+
+def test_long_codes_past_the_word_limits(monkeypatch):
+    # (200, 23): 2^23 codewords of 4 words each, 2^25 words.  The sweep runs
+    # with a table of at most 2^20 words; a codeword table is refused, so
+    # Monte Carlo allocates none.
+    g = _weight_three_code(200, 23)
+    shapes = []
+    doubling = _kernels.doubling_table
+
+    def recorded(rows, upto):
+        shapes.append((upto, rows.shape[1]))
+        return doubling(rows, upto)
+
+    monkeypatch.setattr(_kernels, "doubling_table", recorded)
+    assert min_distance(g) == lincode.MinDistanceResult(3, {3 * j: comb(23, j) for j in range(24)})
+    assert shapes == [(18, 4)]
+    with pytest.raises(ValueError, match="too large for an in-memory codeword table at n = 200"):
+        bsc_monte_carlo(g, 0.1, 10, 0)
+    assert len(shapes) == 1
+    # (129, 27): 3 * 2^27 words is past the sweep limit, so d comes from the join
+    g = _weight_three_code(129, 27)
+    monkeypatch.setattr(_kernels, "codeword_weight_hist", None)
+    assert min_distance(g) == lincode.MinDistanceResult(3, None)
+    w, words = lincode.lightest_codewords(g.h)
+    assert (w, len(words)) == (3, 27) and (words.sum(axis=1) == 3).all()
+
+
 def test_lightest_codewords_guard_prices_each_weight(monkeypatch):
     # joins that find nothing make the search price every weight up to n
     monkeypatch.setattr(_kernels, "_joined", lambda *args: iter(()))

@@ -57,6 +57,7 @@ def test_parse_empty():
         ("Xß", 2, "'ß'"),  # its upper case is 'SS', two characters
         ("ßQ", 1, "'ß'"),
         ("XYßZQ", 3, "'ß'"),  # the first bad symbol is reported
+        ("Xı", 2, "'ı'"),  # its upper case is 'I', but it is no Pauli letter
     ],
 )
 def test_parse_error_positions(text, position, symbol):

@@ -6,7 +6,9 @@ under ``/tmp/`` move into a temporary directory, which is also the working
 directory, and ``src/stab2lin/data/`` is the bundled data.
 """
 
+import re
 import shlex
+from importlib import import_module
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -55,3 +57,38 @@ def test_readme_examples_match(tmp_path, monkeypatch):
             assert lines[: len(expected) - 1] == expected[:-1], command
         else:
             assert lines == expected, command
+
+
+# every size limit the README quotes, with the module that holds it
+LIMITS = {
+    "K_ENUM_LIMIT": "lincode",
+    "K_TABLE_LIMIT": "lincode",
+    "NK_EXACT_LIMIT": "lincode",
+    "MAX_MC_WORK": "lincode",
+    "MAX_JOIN_ENTRIES": "_kernels",
+    "MAX_GRID_POINTS": "bounds",
+}
+
+
+def _readme_number(text: str) -> int:
+    """A number as the README writes it: 28, 2^28, 10^6 or 2*10^9."""
+    value = 1
+    for factor in text.split("*"):
+        base, _, power = factor.partition("^")
+        value *= int(base) ** int(power or 1)
+    return value
+
+
+def test_readme_limits_match_the_constants():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    quoted = re.findall(r"`(\w+)\.([A-Z_]+) = ([0-9*^]+)`", text)
+    assert {name for _, name, _ in quoted} == set(LIMITS)
+    for module, name, number in quoted:
+        assert LIMITS[name] == module, name
+        assert _readme_number(number) == getattr(import_module(f"stab2lin.{module}"), name), name
+    # the limits it also quotes by value alone
+    lincode = import_module("stab2lin.lincode")
+    for number in re.findall(r"n ?- ?k (?:<=|>) (?:min\(k, )?(\d+)", text):
+        assert int(number) == lincode.NK_EXACT_LIMIT
+    for number in re.findall(r"2\^k \* ceil\(n/64\) (?:<=|>) 2\^(\d+)", text):
+        assert int(number) in (lincode.K_ENUM_LIMIT, lincode.K_TABLE_LIMIT)

@@ -155,6 +155,45 @@ def test_standard_form_rejects_invalid():
         to_standard_form(StabilizerCode.from_paulis(["XII", "ZII"]))
 
 
+@given(st.sampled_from(["valid", "anticommuting", "dependent", "zero row", "m > n", "m = 0"]),
+       st.integers(1, 9), st.integers(0, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+@example("dependent", 4, 3, 0)  # m = n + 1
+@example("zero row", 1, 0, 0)
+@example("m > n", 3, 2, 0)
+@example("m = 0", 3, 0, 0)
+def test_standard_form_raises_exactly_on_invalid_codes(kind, n, m, seed):
+    # the reduction decides validity from its own elimination: it must raise
+    # exactly when validate does not pass the code, and agree otherwise
+    rng = np.random.default_rng(seed)
+    m = 1 + m % n
+    if kind == "m = 0":
+        rows = np.zeros((0, 2 * n), np.uint8)
+    elif kind == "anticommuting":  # random rows, now and then a valid code
+        rows = rng.integers(0, 2, (m, 2 * n), dtype=np.uint8)
+    else:
+        rows = random_stabilizer_code(rng, n, n if kind == "m > n" else m).matrix
+        coeffs = rng.integers(0, 2, (1, len(rows)), dtype=np.uint8)
+        coeffs[0, rng.integers(len(rows))] = 1
+        extra = {
+            "valid": rows[:0],
+            "dependent": gf2.mat_mul(coeffs, rows),  # a nonzero sum of rows
+            "zero row": np.zeros((1, 2 * n), np.uint8),
+            "m > n": rng.integers(0, 2, (1 + m % 2, 2 * n), dtype=np.uint8),
+        }[kind]
+        rows = np.vstack([rows, extra])[rng.permutation(len(rows) + len(extra))]
+    code = StabilizerCode(rows, n)
+    report = validate(code)
+    if kind != "anticommuting":
+        assert report.ok == (kind in ("valid", "m = 0"))
+    if report.ok:
+        _matches_reference_standard_form(code)
+    else:
+        reason = "anticommute" if report.anticommuting_pairs else "dependent"
+        with pytest.raises(ValueError, match=reason):
+            to_standard_form(code)
+
+
 def _matches_reference_standard_form(code: StabilizerCode) -> int:
     """Assert that ``to_standard_form`` gives the reference's matrix,
     permutation and trace bit for bit; return the reference's count of
@@ -703,7 +742,7 @@ def test_quantum_distance_invariant_under_elementary_ops(eight_three):
 
 
 def test_standard_form_error_message():
-    # directly exercise the guard with an invalid (dependent) input smuggled
-    # past validation is not possible through the public API; the exception
+    # the block-shape guard cannot be reached through the public API: an
+    # anticommuting or dependent input raises ValueError first; the exception
     # type still must exist and subclass RuntimeError
     assert issubclass(StandardFormError, RuntimeError)
