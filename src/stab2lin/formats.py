@@ -1,6 +1,7 @@
 """Text file formats for stabilizer codes and generator matrices.
 
-Lines end at LF, CRLF or CR, and at nothing else.
+Lines end at LF, CRLF or CR, and at nothing else.  A UTF-8 byte-order mark
+at the start of a file is skipped.
 
 Stabilizer files: UTF-8, '#' starts a comment, each non-blank line is either
 a Pauli string over {I, X, Y, Z} (optional '+' prefix) or a binary line
@@ -11,6 +12,8 @@ permitted.
 """
 
 from __future__ import annotations
+
+import codecs
 
 import numpy as np
 
@@ -77,7 +80,7 @@ def parse_stabilizer_text(text: str) -> StabilizerCode:
 
 def _read_text(path) -> str:
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -28,10 +28,6 @@ COLUMN_SWITCH = "column-switch"
 COLUMN_ADDITION = "column-addition"
 
 
-class StandardFormError(RuntimeError):
-    """The reduction missed the block shape, which no valid code can cause."""
-
-
 @dataclass(frozen=True)
 class ElementaryOp:
     """One elementary operation on a generator matrix.
@@ -163,7 +159,9 @@ def _block(rows: int, half: int, group: int) -> property:
 @dataclass(frozen=True, eq=False)
 class StandardForm(StabilizerCode):
     """A stabilizer code whose matrix has the standard block shape; the
-    blocks ``a1`` ... ``c2`` are views of ``matrix``.
+    blocks ``a1`` ... ``c2`` are views of ``matrix``.  A matrix without I_s,
+    the zero X part below row s and I_r in place, or with s outside
+    [0, m] or m > n, raises ValueError.
 
     ``qubit_permutation[p]`` is the original qubit position now at
     standardized position ``p``; like ``matrix`` it is read-only, and
@@ -183,6 +181,14 @@ class StandardForm(StabilizerCode):
         perm.flags.writeable = False
         object.__setattr__(self, "qubit_permutation", perm)
         object.__setattr__(self, "op_trace", tuple(self.op_trace))
+        mat, n, s, r = self.matrix, self.n, self.s, self.m - self.s
+        if not (
+            0 <= s <= self.m <= n
+            and np.array_equal(mat[:s, :s], np.eye(s))
+            and not mat[s:, :n].any()
+            and np.array_equal(mat[s:, 2 * n - r :], np.eye(r))
+        ):
+            raise ValueError(f"not a standard form with s = {s}, m = {self.m}, n = {n}")
 
     @property
     def r(self) -> int:
@@ -242,14 +248,7 @@ def to_standard_form(code: StabilizerCode) -> StandardForm:
         if at[p - n] != n - r + i:
             transpose(at[p - n], n - r + i)
 
-    work = work[:, perm + [n + p for p in perm]]
-    if not (
-        np.array_equal(work[:s, :s], np.eye(s))
-        and not work[s:, :n].any()
-        and np.array_equal(work[s:, 2 * n - r :], np.eye(r))
-    ):
-        raise StandardFormError("the reduction left I_s, the zero X part or I_r out of place")
-    return StandardForm(work, n, s, perm, trace)
+    return StandardForm(work[:, perm + [n + p for p in perm]], n, s, perm, trace)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,13 @@ import numpy as np
 from stab2lin import gf2
 from stab2lin.extraction import extract_classical
 from stab2lin.stabilizer import StandardForm, logical_bit_ops, logical_phase_ops
-from stab2lin.statevec import COLLAPSED
 
 DEFAULT_STATE_CAP = 12
 TOL = 1e-9
+COLLAPSED = (
+    "codeword construction collapsed to (near) zero; the generator "
+    "phase convention is inconsistent"
+)
 
 
 @dataclass(frozen=True)
@@ -158,26 +161,27 @@ def dense_verify_phi(sf: StandardForm, tol: float = TOL) -> DensePhiReport:
         counterexamples.append(f"images not orthonormal (deviation {max_dev:.3g})")
 
     # 2. codeword correspondence: phi(x.M) = N^x C_0, in the +1 eigenspace of
-    #    every generator, for all 2^k messages
+    #    every generator, for all 2^k messages (only x = 0 when k = 0)
     cw_ok = True
     gens = sf.matrix
-    if k:
-        gen = extract_classical(sf).generator
-        n_rows = logical_bit_ops(sf)
-        for mi in range(1 << k):
-            x = np.array([(mi >> (k - 1 - i)) & 1 for i in range(k)], np.uint8)
+    gen = extract_classical(sf).generator if k else None
+    n_rows = logical_bit_ops(sf)
+    for mi in range(1 << k):
+        x = np.array([(mi >> (k - 1 - i)) & 1 for i in range(k)], np.uint8)
+        nx = (x @ n_rows & 1).astype(np.uint8)
+        rhs = apply_pauli(StateVector(n, c0), nx).amplitudes
+        lhs, dev = rhs, 0.0
+        if k:
             y = (x @ gen & 1).astype(np.uint8)
             lhs = images[int("".join(map(str, y)), 2)]
-            nx = (x @ n_rows & 1).astype(np.uint8)
-            rhs = apply_pauli(StateVector(n, c0), nx).amplitudes
             dev = float(np.max(np.abs(lhs - rhs)))
-            for g in gens:
-                moved = apply_pauli(StateVector(n, lhs), g).amplitudes
-                dev = max(dev, float(np.max(np.abs(moved - lhs))))
-            max_dev = max(max_dev, dev)
-            if dev >= tol:
-                cw_ok = False
-                counterexamples.append(f"codeword x={''.join(map(str, x))}: deviation {dev:.3g}")
+        for g in gens:
+            moved = apply_pauli(StateVector(n, lhs), g).amplitudes
+            dev = max(dev, float(np.max(np.abs(moved - lhs))))
+        max_dev = max(max_dev, dev)
+        if dev >= tol:
+            cw_ok = False
+            counterexamples.append(f"codeword x={''.join(map(str, x))}: deviation {dev:.3g}")
 
     # 3. error correspondence: phi(y xor e) = Z_e phi(y), exactly and up to
     #    one global phase per error pattern

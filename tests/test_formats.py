@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,7 @@ def test_line_breaks_in_generator_files():
     (b"XZ\r\nZX\rZZ\n\xff", 4),
     (b"\xc2\x85XZ\n\xff", 2),  # NEL is a character of line 1
     (b"\xff", 1),
+    (b"\xef\xbb\xbfXZ\n\xff\n", 2),  # the skipped byte-order mark moves no offset
 ])
 def test_utf8_error_line_counts_lines_as_the_parser_does(tmp_path, data, line):
     path = tmp_path / "bad.stab"
@@ -144,3 +147,15 @@ def test_utf8_error_line_counts_lines_as_the_parser_does(tmp_path, data, line):
         load_stabilizer(path)
     assert exc.value.line == line
     assert str(exc.value).startswith(f"line {line}: not UTF-8 text (byte 0xff)")
+
+
+@pytest.mark.parametrize("name, text, load", [
+    ("pauli.stab", b"XX\nZZ\n", lambda path: load_stabilizer(path).pauli_strings()),
+    ("binary.stab", b"11|00\n00|11\n", lambda path: load_stabilizer(path).pauli_strings()),
+    ("code.gmat", b"110\n011\n", lambda path: load_generator(path).rows.tolist()),
+])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, name, text, load):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    assert load(marked) == load(plain)

@@ -19,7 +19,6 @@ from stab2lin.stabilizer import (
     ElementaryOp,
     StabilizerCode,
     StandardForm,
-    StandardFormError,
     apply_op,
     apply_ops,
     ensure_positive_r,
@@ -741,8 +740,24 @@ def test_quantum_distance_invariant_under_elementary_ops(eight_three):
         assert quantum_distance(moved, weight_cap=3).value == base
 
 
-def test_standard_form_error_message():
-    # the block-shape guard cannot be reached through the public API: an
-    # anticommuting or dependent input raises ValueError first; the exception
-    # type still must exist and subclass RuntimeError
-    assert issubclass(StandardFormError, RuntimeError)
+def test_standard_form_refuses_a_matrix_out_of_shape(eight_three):
+    sf = to_standard_form(eight_three)  # s = 4, r = 1, n = 8
+
+    def flipped(i, j):
+        matrix = sf.matrix.copy()
+        matrix[i, j] ^= 1
+        return matrix
+
+    for matrix, s in (
+        (flipped(0, 1), sf.s),  # I_s broken
+        (flipped(sf.s, 0), sf.s),  # a nonzero X part below row s
+        (flipped(sf.s, 2 * sf.n - 1), sf.s),  # I_r broken
+        (sf.matrix, -1),
+        (sf.matrix, sf.m + 1),
+    ):
+        with pytest.raises(ValueError, match="not a standard form"):
+            StandardForm(matrix, sf.n, s, sf.qubit_permutation, [])
+    with pytest.raises(ValueError, match="not a standard form"):
+        dataclasses.replace(sf, matrix=flipped(sf.s, 0))
+    with pytest.raises(ValueError, match="not a standard form"):  # k = -1
+        StandardForm(np.eye(2, dtype=np.uint8), 1, 1, [0], [])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from stab2lin import statevec
 from stab2lin.extraction import extract_classical
 from stab2lin.formats import load_stabilizer
-from stab2lin.pauli import parse_pauli, signed_row
+from stab2lin.pauli import parse_pauli
 from stab2lin.stabilizer import (
     StabilizerCode,
     logical_phase_ops,
@@ -282,6 +282,18 @@ def test_verify_phi_matches_dense_oracle(n, data):
     assert (dense.images_checked, dense.pairs_checked) == (2 ** (n - sf.r), 4 ** (n - sf.r))
 
 
+def test_verify_phi_checks_the_zero_message_when_k_is_zero():
+    # with k = 0 the codeword claim is that C_0 is a +1 eigenstate of every
+    # generator: flipping A2 or C1 of (XX, ZZ) gives (XI, ZZ) or (XX, IZ),
+    # whose second generator moves the C_0 that the first one fixes
+    sf = to_standard_form(StabilizerCode.from_paulis(["XX", "ZZ"]))
+    assert sf.k == 0
+    for name in ("a2", "c1"):
+        variant = flip_block_bit(sf, name, 0, 0)
+        assert _outcome(verify_phi, variant) == _outcome(dense_verify_phi, variant)
+        assert _outcome(verify_phi, variant) == (True, False, True)
+
+
 def test_verify_phi_checks_the_extracted_generator(monkeypatch):
     # the codeword check decides the claim for whatever generator extraction
     # returns: a flipped bit of M, or a row of M added to another (the same
@@ -303,41 +315,3 @@ def test_verify_phi_checks_the_extracted_generator(monkeypatch):
         verdict = _outcome(verify_phi, sf)
         assert verdict == _outcome(dense_verify_phi, sf)
         assert verdict[1] is False
-
-
-def _signed(text):
-    sign, text = (2, text[1:]) if text.startswith("-") else (0, text)
-    x, z, p = signed_row(parse_pauli(text))
-    return x, z, (p + sign) & 3
-
-
-def test_projected_state_redundant_factor():
-    # +X already stabilizes X|+>; +Z1 already stabilizes |00>
-    state, redundant = statevec.projected_state(1, [_signed("X"), _signed("X")])
-    assert redundant == [1]
-    assert state.stabilizers == [_signed("X")]
-    _, redundant = statevec.projected_state(2, [_signed("ZI"), _signed("IX"), _signed("ZX")])
-    assert redundant == [0, 2]
-    # ZZ fixes |00>, and then -YY = (XX)(ZZ) fixes the Bell state
-    _, redundant = statevec.projected_state(2, [_signed(p) for p in ("XX", "ZZ", "-YY")])
-    assert redundant == [1, 2]
-
-
-def test_projected_state_collapse():
-    # YY = -(XX)(ZZ), so the Bell state |00> + |11> has YY = -1
-    for ops in (["-Z"], ["X", "-X"], ["XX", "ZZ", "YY"]):
-        with pytest.raises(RuntimeError, match="collapsed"):
-            statevec.projected_state(len(ops[0].lstrip("-")), [_signed(op) for op in ops])
-
-
-def test_z_images_orthogonal_hand_built():
-    zero = statevec.projected_state(2, [])[0]  # |00>: every Z^u stabilizes it
-    assert not statevec.z_images_orthogonal(zero, 2, 0)
-    plus_zero = statevec.projected_state(2, [_signed("XI")])[0]  # |+0>
-    assert statevec.z_images_orthogonal(plus_zero, 2, 1)  # only Z_1 acts
-    assert not statevec.z_images_orthogonal(plus_zero, 2, 0)  # Z_2 fixes |0>
-    zero_plus = statevec.projected_state(2, [_signed("IX")])[0]  # |0+>
-    assert not statevec.z_images_orthogonal(zero_plus, 2, 1)
-    bell = statevec.projected_state(2, [_signed("XX")])[0]  # ZZ stabilizes it
-    assert not statevec.z_images_orthogonal(bell, 2, 0)
-    assert statevec.z_images_orthogonal(bell, 2, 1)

@@ -22,7 +22,6 @@ from stab2lin.stabilizer import (
     ElementaryOp,
     StabilizerCode,
     StandardForm,
-    StandardFormError,
     apply_ops,
     to_standard_form,
     validate,
@@ -285,11 +284,10 @@ def reference_standard_form(code: StabilizerCode) -> tuple[StandardForm, int]:
     trace += [ElementaryOp(ROW_ADDITION, (t + s, u + s)) for t, u in stage2.trace]
     z_pivots = stage2.pivots
     r1 = len(z_pivots)
-    if r1 < r:
-        raise StandardFormError(
-            f"E4 rank {r1} < r = {r}: zero/non-commuting residual generators "
-            "(impossible for a valid code; input or reduction is broken)"
-        )
+    assert r1 == r, (
+        f"E4 rank {r1} < r = {r}: zero/non-commuting residual generators "
+        "(impossible for a valid code; input or reduction is broken)"
+    )
 
     # Move the E4 pivot columns to the last r qubit positions, pivot-row order.
     cur = [p - n for p in z_pivots]  # qubit positions of the pivots
@@ -305,12 +303,11 @@ def reference_standard_form(code: StabilizerCode) -> tuple[StandardForm, int]:
                 break
         cur[i] = tgt
 
-    if not (
+    assert (
         np.array_equal(work[:s, :s], np.eye(s))
         and not work[s:, :n].any()
         and np.array_equal(work[s:, 2 * n - r :], np.eye(r))
-    ):
-        raise StandardFormError("the reduction left I_s, the zero X part or I_r out of place")
+    ), "the reduction left I_s, the zero X part or I_r out of place"
     return StandardForm(work, n, s, perm, trace), displaced
 
 
