@@ -197,15 +197,17 @@ def extract(file, ensure_r, out, as_json):
 
 @main.command()
 @file_argument
-@click.option("--quantum", "mode", flag_value="quantum", help="stabilizer-file input")
-@click.option("--classical", "mode", flag_value="classical", help="generator-file input")
+@click.option("--quantum", is_flag=True, help="stabilizer-file input")
+@click.option("--classical", is_flag=True, help="generator-file input")
 @click.option("--cap", type=click.IntRange(min=1), help="weight cap for the quantum search")
 @json_option
-def distance(file, mode, cap, as_json):
+def distance(file, quantum, classical, cap, as_json):
     """Exact code distance and corrected-error count t."""
-    if mode is None:
+    if quantum == classical:
         raise click.UsageError("choose one of --quantum or --classical")
-    if mode == "quantum":
+    if cap is not None and not quantum:
+        raise click.UsageError("--cap applies only to --quantum")
+    if quantum:
         result = quantum_distance(_load_valid_stab(file, "compute its distance"), weight_cap=cap)
         payload = {
             "kind": "quantum",
@@ -283,8 +285,8 @@ def simulate(file, delta, trials, seed, exact, as_json):
 @file_argument
 @json_option
 def verify_phi_cmd(file, as_json):
-    """Exactly verify the classical-to-quantum isomorphism on the stabilizer
-    tableau of |C_0>."""
+    """Exactly verify the classical-to-quantum isomorphism from generator
+    commutation and the extracted rows."""
     sf = to_standard_form(_load_valid_stab(file, "verify phi"))
     phi_report = statevec.verify_phi(sf)
     payload = dataclasses.asdict(phi_report)

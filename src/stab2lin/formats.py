@@ -92,10 +92,15 @@ def load_stabilizer(path) -> StabilizerCode:
     return parse_stabilizer_text(_read_text(path))
 
 
+def _text(comments: list[str] | None, rows: list[str]) -> str:
+    """Comment lines, then ``rows``; a comment is split where the parser
+    splits lines, and every piece is commented."""
+    lines = [f"# {piece}" for c in comments or [] for piece in _lines(c)]
+    return "\n".join(lines + rows) + "\n"
+
+
 def write_stabilizer_text(code: StabilizerCode, comments: list[str] | None = None) -> str:
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.extend(code.pauli_strings())
-    return "\n".join(lines) + "\n"
+    return _text(comments, code.pauli_strings())
 
 
 def parse_generator_text(text: str) -> GeneratorMatrix:
@@ -120,6 +125,4 @@ def load_generator(path) -> GeneratorMatrix:
 
 
 def write_generator_text(g: GeneratorMatrix, comments: list[str] | None = None) -> str:
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.extend(row.tobytes().decode() for row in g.rows + ord("0"))
-    return "\n".join(lines) + "\n"
+    return _text(comments, [row.tobytes().decode() for row in g.rows + ord("0")])

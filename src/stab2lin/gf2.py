@@ -4,10 +4,10 @@ Bit vectors and matrices are numpy uint8 arrays of 0/1 entries; functions
 return fresh arrays and leave their arguments unchanged.  Where row
 operations dominate, a row is packed into a Python int whose bit c is column
 c (``to_ints``, and back with ``from_ints``).  This is the package's one
-packing convention: every int bitmask elsewhere (the Pauli triples of
-``pauli``, the codewords of ``statevec.verify_phi``) comes from these two
-functions.  Enumeration-heavy kernels pack rows into uint64 words in the
-same order (``pack_rows``): column c at word c // 64, bit c % 64.
+packing convention: every int bitmask elsewhere (the syndrome columns of
+``lincode.GeneratorMatrix``) comes from these two functions.
+Enumeration-heavy kernels pack rows into uint64 words in the same order
+(``pack_rows``): column c at word c // 64, bit c % 64.
 
 Row-operation traces are lists of ``(target, source)`` pairs meaning
 "row[target] ^= row[source]".

@@ -45,7 +45,8 @@ class ElementaryOp:
 
 @dataclass(frozen=True, eq=False)
 class StabilizerCode:
-    """m independent, pairwise-commuting generators on n qubits.
+    """m independent, pairwise-commuting generators on n qubits, as an
+    m x 2n matrix (m may be 0); a matrix of another shape raises ValueError.
 
     Two codes of the same class are equal when they have the same n and the
     same matrix; the matrix is read-only, so its bytes hash stably.
@@ -55,7 +56,9 @@ class StabilizerCode:
     n: int
 
     def __post_init__(self):
-        mat = gf2.as_bits(self.matrix).reshape(-1, 2 * self.n)
+        mat = gf2.as_bits(self.matrix)
+        if mat.ndim != 2 or mat.shape[1] != 2 * self.n:
+            raise ValueError(f"expected an m x {2 * self.n} matrix, got shape {mat.shape}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

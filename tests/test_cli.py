@@ -10,7 +10,7 @@ from stab2lin import _kernels, bounds, cli, stabilizer
 from stab2lin.cli import main
 from stab2lin.formats import write_generator_text
 
-from util import data_path, hamming_direct_sum, random_code, rotated_surface_code
+from util import DATA, data_path, hamming_direct_sum, random_code, rotated_surface_code
 
 runner = CliRunner()
 
@@ -329,6 +329,32 @@ def test_gmat_that_is_not_a_code_exit_one(tmp_path, argv, text, message):
 def test_distance_requires_mode():
     res = run("distance", data_path("seven_three.gmat"))
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--classical", "--quantum"), "choose one of --quantum or --classical"),
+    (("--quantum", "--classical"), "choose one of --quantum or --classical"),
+    (("--classical", "--cap", "2"), "--cap applies only to --quantum"),
+])
+@pytest.mark.parametrize("name", ["five_one.stab", "seven_three.gmat"])
+def test_distance_contradictory_flags_are_usage_errors(flags, message, name):
+    # no flag wins silently: both modes, or a cap without the quantum search
+    res = run("distance", data_path(name), *flags)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.stderr and res.stdout == ""
+
+
+def test_extracted_file_parses_whatever_the_source_name(tmp_path):
+    # the source path goes into a comment; its line breaks must not end it
+    for name in ("a\nb.stab", "a\rb.stab", "a\r\nb.stab"):
+        src = tmp_path / name
+        src.write_bytes((DATA / "eight_three.stab").read_bytes())
+        out = tmp_path / "out.gmat"
+        assert run("extract", src, "-o", out).exit_code == 0
+        res = run("distance", out, "--classical")
+        assert res.exit_code == 0, (name, res.output)
+        assert res.output == "d=4 t=1\n"
 
 
 def test_simulate_exact():

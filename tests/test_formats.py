@@ -85,6 +85,18 @@ def test_generator_file_roundtrip():
     assert np.array_equal(again.rows, g.rows)
 
 
+def test_comments_with_line_breaks_stay_comments():
+    # a comment is split where the parser splits lines; every piece is commented
+    comments = ["a\nXQ", "b\rZZ", "c\r\n01", "", "d\v\fe"]
+    code = load_stabilizer(data_path("eight_three.stab"))
+    text = write_stabilizer_text(code, comments)
+    assert text.startswith("# a\n# XQ\n# b\n# ZZ\n# c\n# 01\n# \n# d\v\fe\n")
+    assert parse_stabilizer_text(text) == code
+    g = load_generator(data_path("five_two.gmat"))
+    again = parse_generator_text(write_generator_text(g, comments))
+    assert np.array_equal(again.rows, g.rows)
+
+
 def test_generator_bad_alphabet():
     with pytest.raises(FormatError) as exc:
         parse_generator_text("10110\n012a1\n")

@@ -1,20 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from stab2lin.pauli import (
-    PauliParseError,
-    StabilizerTableau,
-    anticommute,
-    parse_pauli,
-    pauli_product,
-    pauli_string,
-    signed_row,
-    symplectic_product_rows,
-)
+from stab2lin.pauli import PauliParseError, parse_pauli, pauli_string, symplectic_product_rows
 
-from phi_oracle import StateVector, apply_pauli, zero_state
 from util import pauli_weight_rows
 
 
@@ -124,61 +112,3 @@ def test_weight():
     rows = np.stack([parse_pauli("XIYZI"), parse_pauli("IIIII")])
     assert list(pauli_weight_rows(rows)) == [3, 0]
 
-
-def dense(p, state):
-    """Apply the triple (x, z, p), the operator i^p X^x Z^z, to a state."""
-    x, z, phase = p
-    row = np.array([(v >> j) & 1 for v in (x, z) for j in range(state.n)], np.uint8)
-    moved = apply_pauli(state, row).amplitudes
-    return moved * 1j ** ((phase - (x & z).bit_count()) % 4)
-
-
-def triples(n, hermitian=False):
-    phase = st.sampled_from((0, 2)) if hermitian else st.integers(0, 3)
-    pauli = st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1), phase)
-    if hermitian:  # shift the sign onto the i^(x.z) convention
-        return pauli.map(lambda p: (p[0], p[1], (p[2] + (p[0] & p[1]).bit_count()) & 3))
-    return pauli
-
-
-def test_signed_row_convention():
-    assert signed_row(parse_pauli("XYZI")) == (0b0011, 0b0110, 1)
-    y = (1, 1, 1)  # i X Z = Y
-    assert np.allclose(dense(y, zero_state(1)), [0.0, 1j])
-
-
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), triples(n), triples(n))))
-@settings(max_examples=200, deadline=None)
-def test_pauli_product_matches_dense(case):
-    n, p, q = case
-    rng = np.random.default_rng(p[0] + 8 * q[1])
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    state = StateVector(n, amps)
-    expected = dense(p, StateVector(n, dense(q, state)))
-    assert np.allclose(dense(pauli_product(p, q), state), expected)
-    rows = np.array([[(v >> j) & 1 for v in t[:2] for j in range(n)] for t in (p, q)], np.uint8)
-    assert anticommute(p, q) == bool(symplectic_product_rows(rows)[0, 1])
-
-
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(triples(n, hermitian=True), max_size=6),
-                        st.lists(triples(n, hermitian=True), min_size=1, max_size=4))))
-@settings(max_examples=200, deadline=None)
-def test_tableau_matches_dense_projection(case):
-    # the tableau tracks (I + P_t) ... (I + P_1)|0^n> with its signs
-    n, ops, probes = case
-    tableau = StabilizerTableau(n)
-    amps = zero_state(n).amplitudes
-    for op in ops:
-        expectation = tableau.project(op)
-        projected = amps + dense(op, StateVector(n, amps))
-        norm2 = np.vdot(projected, projected).real / np.vdot(amps, amps).real
-        assert np.isclose(norm2, 2 * (1 + expectation))
-        if expectation < 0:
-            return
-        amps = projected / np.linalg.norm(projected)
-    state = StateVector(n, amps)
-    for row in tableau.stabilizers:
-        assert np.allclose(dense(row, state), amps)
-    for probe in probes:
-        assert np.isclose(np.vdot(amps, dense(probe, state)), tableau.expectation(probe))

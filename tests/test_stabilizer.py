@@ -517,12 +517,26 @@ def test_standard_form_is_a_read_only_stabilizer_code():
             sf.qubit_permutation[0] = sf.qubit_permutation[-1]
 
 
+def test_code_refuses_a_matrix_that_is_not_m_by_2n():
+    # m = 4 and k = -3 came of reshaping the first silently
+    for mat, n in [
+        (np.array([[1, 0, 0, 1], [0, 1, 1, 0]]), 1),
+        (np.array([[1, 0, 0, 1], [0, 1, 1, 0]]), 3),
+        (np.array([1, 0, 0, 1]), 2),
+        (np.zeros((1, 2, 4), np.uint8), 2),
+        (np.zeros((0, 2), np.uint8), 2),
+    ]:
+        with pytest.raises(ValueError, match=rf"expected an m x {2 * n} matrix, got shape"):
+            StabilizerCode(mat, n)
+    assert StabilizerCode(np.zeros((0, 4), np.uint8), 2).k == 2
+
+
 def test_codes_compare_and_hash_by_n_and_matrix(eight_three):
     xx_zz = StabilizerCode.from_paulis(["XX", "ZZ"])
     same = StabilizerCode.from_paulis(["XX", "ZZ"])
     assert xx_zz == same and hash(xx_zz) == hash(same) and len({xx_zz, same}) == 1
     assert xx_zz != StabilizerCode.from_paulis(["ZZ", "XX"])
-    assert xx_zz != StabilizerCode(xx_zz.matrix, 4)  # same bytes, one 4-qubit row
+    assert xx_zz != StabilizerCode(xx_zz.matrix.reshape(1, -1), 4)  # same bytes, one 4-qubit row
     sf = to_standard_form(eight_three)
     again = to_standard_form(load_stabilizer(data_path("eight_three.stab")))
     assert sf == again and hash(sf) == hash(again) and len({sf, again}) == 1

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stab2lin import statevec
+from stab2lin import gf2, statevec
 from stab2lin.extraction import extract_classical
 from stab2lin.formats import load_stabilizer
-from stab2lin.pauli import parse_pauli
+from stab2lin.pauli import parse_pauli, symplectic_product_rows
 from stab2lin.stabilizer import (
     StabilizerCode,
     logical_phase_ops,
     to_standard_form,
+    validate,
 )
 from stab2lin.statevec import verify_phi
 
@@ -230,6 +231,41 @@ def test_verify_phi_detects_corruption(sf8):
     rep = verify_phi(flip_block_bit(sf8, "a1", 0, 0))
     assert not rep.all_ok
     assert rep.counterexamples
+    # M and the N_j are both read from A1, so a flipped block bit can break
+    # only commutation: the counterexamples are exactly the anticommuting pairs
+    for name in BLOCKS:
+        for i, j in product(*map(range, getattr(sf8, name).shape)):
+            variant = flip_block_bit(sf8, name, i, j)
+            rep = verify_phi(variant)
+            pairs = validate(variant).anticommuting_pairs
+            assert rep.counterexamples == [
+                f"G_{a + 1}, G_{b + 1} anticommute: C_0 is not a +1 eigenstate of both"
+                for a, b in pairs
+            ], (name, i, j)
+            assert rep.codeword_property_ok == (not pairs)
+            assert rep.bijectivity_ok and rep.error_property_ok
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_phi_lemma_holds_for_any_block_values(n, data):
+    # the two facts verify_phi's proof rests on, for valid and corrupted forms:
+    # on the first n - r qubits the X parts of G_1..G_s, L_1..L_k have full
+    # rank n - r, and every L_j commutes with every G_i and every L_l
+    m = data.draw(st.integers(1, n), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    valid = to_standard_form(random_stabilizer_code(rng, n, m))
+    variants = [valid] + [
+        flip_block_bit(valid, name, *(rng.integers(d) for d in getattr(valid, name).shape))
+        for name in BLOCKS
+        if getattr(valid, name).size
+    ]
+    for sf in variants:
+        s, nr = sf.s, sf.n - sf.r
+        ops = np.vstack([sf.matrix[:s], logical_phase_ops(sf)])
+        assert gf2.rank(ops[:, :nr]) == nr
+        gram = symplectic_product_rows(np.vstack([sf.matrix, logical_phase_ops(sf)]))
+        assert not gram[m:].any() and not gram[:, m:].any()
 
 
 def test_verify_phi_past_old_cap_surface_d5():
@@ -248,7 +284,7 @@ def test_verify_phi_surface_d7_under_a_second():
 
 
 def _outcome(check, sf):
-    """The three verdicts, or the collapse message.  The tableau check proves
+    """The three verdicts, or the collapse message.  ``verify_phi`` proves
     the error correspondence without a phase, so the dense oracle, which
     measures it, must find it too."""
     try:
