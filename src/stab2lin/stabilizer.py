@@ -414,10 +414,151 @@ def is_css(code: StabilizerCode) -> bool:
     return gf2.rank(mat[:, :n]) + gf2.rank(mat[:, n:]) == gf2.rank(mat)
 
 
+# The cycle route of quantum_distance runs while each side's covering graph has
+# at most this many vertices, 2^k (m_side + 1); past it the join runs.
+MAX_COVER_STATES = 1 << 12
+
+
+def _graphs(code: StabilizerCode) -> list[tuple[list, int]] | None:
+    """The graphs of the X rows and of the Z rows, when the generators as
+    given form graphs: every row is pure X or pure Z (an identity row counts
+    as Z), each half gives every qubit column weight <= 2, and the X rows
+    commute with the Z rows; else None.
+
+    A side with m rows is a graph on m + 1 vertices, its rows and a boundary
+    vertex m, returned as the endpoints of each qubit's edge, its rows padded
+    with the boundary (a qubit in no row is a loop at the boundary), and
+    that vertex count."""
+    n, mat = code.n, code.matrix
+    has_x = mat[:, :n].any(axis=1)
+    if (has_x & mat[:, n:].any(axis=1)).any():
+        return None
+    graphs = []
+    for checks in (mat[has_x, :n], mat[~has_x, n:]):
+        if (checks.sum(axis=0) > 2).any():
+            return None
+        ends = np.full((n, 2), len(checks), dtype=np.intp)
+        qubit, row = np.nonzero(checks.T)
+        ends[qubit, np.arange(len(qubit)) - np.searchsorted(qubit, qubit)] = row
+        graphs.append((ends, len(checks) + 1))
+    # X row i and Z row j commute iff they share an even number of qubits, so
+    # the (i, j) pairs over all qubits, sorted, must pair off
+    (x, vx), (z, vz) = graphs
+    x, z = x[:, [0, 0, 1, 1]], z[:, [0, 1, 0, 1]]
+    shared = np.sort((x * vz + z)[(x < vx - 1) & (z < vz - 1)])
+    if shared.size % 2 or (shared[::2] != shared[1::2]).any():
+        return None
+    return [(ends.tolist(), vertices) for ends, vertices in graphs]
+
+
+def _forest(ends: list, vertices: int, edges) -> tuple[list[int], list[int], list[int]]:
+    """A breadth-first spanning forest of the graph on ``vertices`` vertices
+    with the given edges (``ends[e]`` the endpoints of edge e): the vertices
+    in visiting order, each vertex's edge to its parent (-1 for a root), and
+    the edges off the forest, in the given order."""
+    adjacent = [[] for _ in range(vertices)]
+    for e in edges:
+        a, b = ends[e]
+        adjacent[a].append((b, e))
+        adjacent[b].append((a, e))
+    parent = [None] * vertices
+    order = []
+    for root in range(vertices):
+        if parent[root] is not None:
+            continue
+        parent[root] = -1
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            for v, e in adjacent[order[head]]:
+                if parent[v] is None:
+                    parent[v] = e
+                    order.append(v)
+            head += 1
+    on_forest = set(parent)
+    return order, parent, [e for e in edges if e not in on_forest]
+
+
+def _cycle_labels(ends_b: list, vertices_b: int, off_a: list[int], n: int) -> np.ndarray:
+    """Each qubit's label, an int of k bits, such that a cycle of graph A is
+    a row sum of the other side exactly when its labels XOR to 0.
+    ``off_a`` lists the edges off a spanning forest of A, and graph B
+    (``ends_b``) is that of the other side's rows.  Bit j of the labels is
+    the j-th fundamental cycle of a spanning forest of B on the ``off_a``
+    edges: its edge off that forest gets bit j alone, and each forest edge
+    the bits whose edges have one end below it."""
+    order, parent, off_b = _forest(ends_b, vertices_b, off_a)
+    labels = [0] * n
+    charge = [0] * vertices_b
+    for j, e in enumerate(off_b):
+        labels[e] = 1 << j
+        for v in ends_b[e]:
+            charge[v] ^= 1 << j
+    for v in reversed(order):
+        e = parent[v]
+        if e >= 0:
+            labels[e] = charge[v]
+            charge[sum(ends_b[e]) - v] ^= charge[v]
+    return np.array(labels, dtype=np.intp)
+
+
+def _shortest_nontrivial_cycle(ends: list, vertices: int, labels: np.ndarray, k: int, cap: int) -> int:
+    """The least length <= ``cap`` of a closed walk whose edge labels XOR to
+    a nonzero value, 0 if none: breadth-first search on the 2^k-fold cover,
+    state v * 2^k + sigma, from (v, 0) for every source v at once, each
+    source one bit of the frontier's uint64 words.  The sources are one end
+    of each labelled edge, since every nontrivial cycle holds such an edge."""
+    size = 1 << k
+    sigma = np.arange(size)
+    ends = np.array(ends, dtype=np.intp) * size
+    flip = sigma ^ labels[:, None]
+    src = np.concatenate([ends[:, :1] + sigma, ends[:, 1:] + sigma]).ravel()
+    dst = np.concatenate([ends[:, 1:] + flip, ends[:, :1] + flip]).ravel()
+    order = np.argsort(dst, kind="stable")
+    src, dst = src[order], dst[order]
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    into = dst[starts]
+    is_source = np.zeros(vertices * size, dtype=bool)
+    is_source[ends[labels != 0, 0]] = True
+    sources = np.flatnonzero(is_source)
+    word = np.arange(len(sources)) // 64
+    bit = np.left_shift(np.uint64(1), (np.arange(len(sources)) % 64).astype(np.uint64))
+    front = np.zeros((vertices * size, word[-1] + 1), dtype=np.uint64)
+    front[sources, word] = bit
+    seen = front.copy()
+    goal = sources[:, None] + sigma[1:]
+    for t in range(1, cap + 1):
+        step = np.zeros_like(front)
+        step[into] = np.bitwise_or.reduceat(front[src], starts)
+        step &= ~seen
+        if (step[goal, word[:, None]] & bit[:, None]).any():
+            return t
+        seen |= step
+        front = step
+    return 0
+
+
+def _cycle_distance(graphs: list[tuple[list, int]], cap: int) -> DistanceResult | None:
+    """:func:`quantum_distance` of a code whose sides form ``graphs``
+    (:func:`_graphs`), by the shortest nontrivial cycle on each side; None
+    when a side's cover has more than ``MAX_COVER_STATES`` states."""
+    n = len(graphs[0][0])
+    sides = [(ends, vertices, _forest(ends, vertices, range(n))[2]) for ends, vertices in graphs]
+    k = sum(len(off) for *_, off in sides) - n  # n - rank(H_X) - rank(H_Z)
+    if k == 0:
+        return DistanceResult(None, cap, 0)
+    if max(vertices for _, vertices in graphs) << k > MAX_COVER_STATES:
+        return None
+    d = 0
+    for (ends_a, vertices_a, off_a), (ends_b, vertices_b, _) in (sides, sides[::-1]):
+        labels = _cycle_labels(ends_b, vertices_b, off_a, n)
+        d = _shortest_nontrivial_cycle(ends_a, vertices_a, labels, k, d - 1 if d else cap) or d
+    return DistanceResult(d, cap, d) if d else DistanceResult(None, cap, cap, CAP)
+
+
 def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> DistanceResult:
     """Minimum Pauli weight over vectors commuting with all generators but
-    outside the generator row span, searched by increasing weight with the
-    meet-in-the-middle join of :func:`_kernels.normalizer_min_weight`.
+    outside the generator row span.
 
     A CSS group (:func:`is_css`) is searched with the one-letter alphabets
     {X} and {Z}, any other with {X, Y, Z}.  That is exact: d = min(d_X, d_Z).
@@ -427,14 +568,60 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
     both were in the group, so would be their product; so one of them is a
     logical operator, and it weighs no more than X^a Z^b.
 
+    **Graphlike codes: the shortest nontrivial cycle** (the homology picture
+    of Dennis, Kitaev, Landahl & Preskill, "Topological quantum memory",
+    quant-ph/0110143).  When the generators as given are pure X or pure Z
+    rows, each half of column weight <= 2, and the two halves commute
+    (:func:`_graphs`), d_Z is found as follows, and d_X the same way with X
+    and Z swapped.
+
+    - ker(H_X) is the cycle space of a graph G.  Its vertices are the X rows
+      plus one boundary vertex, and each qubit is an edge: between its two X
+      rows, from its one X row to the boundary, or a loop at the boundary if
+      it is in none.  A vector c is in ker(H_X) iff every X row meets it an
+      even number of times, i.e. iff its edges give every row vertex even
+      degree, and then the boundary too, as degrees sum to twice |c|.  A
+      toric code's dropped dependent check is simply the boundary vertex.
+    - Z^c, for c in ker(H_X), is in the group iff c is in rowspan(H_Z) =
+      ker(H_Z)^perp, i.e. iff c is orthogonal to every X logical: ker(H_Z) is
+      rowspan(H_X) plus k X logicals, and c is orthogonal to rowspan(H_X)
+      already.  Any k vectors x_j of ker(H_Z) independent modulo
+      rowspan(H_X) serve.  Take a spanning forest T of G; a cycle of G is
+      fixed by its edges off T, and rowspan(H_Z) lies in ker(H_X), so the
+      Z rows restricted to those n - rank(H_X) edges keep rank(H_Z).
+      ker(H_Z) is the cycle space of the graph of the Z rows, and its
+      cycles on the edges off T, a space of dimension n - rank(H_X) -
+      rank(H_Z) = k, give the x_j: the fundamental cycles of a spanning
+      forest of that subgraph (:func:`_cycle_labels`).  None of their sums
+      is in rowspan(H_X), the cut space of G, as every nonzero cut meets T.
+    - Label each edge e with k bits, bit j set when e lies on x_j; then
+      Z^c is in the group iff the labels of c's edges XOR to 0.  A closed
+      walk from v ends at (v, sigma) in the 2^k-fold cover, sigma the XOR of
+      its labels, and the edges it uses an odd number of times form a cycle
+      of that label and no greater length.  A cycle of nonzero label splits into
+      simple cycles, one of them of nonzero label, which is a closed walk
+      from any vertex on it.  So d_Z is the least BFS distance from (v, 0)
+      to (v, sigma != 0), minimized over v
+      (:func:`_shortest_nontrivial_cycle`).
+    - d = min(d_X, d_Z), by the split above.
+
+    Every other code, and a graphlike one whose cover exceeds
+    ``MAX_COVER_STATES`` states on a side, is searched by increasing weight
+    with the meet-in-the-middle join of :func:`_kernels.normalizer_min_weight`.
+
     ``weight_cap`` defaults to n (exhaustive).  A k = 0 code returns at once
-    with an undefined distance.  Each weight level is priced when the search
-    reaches it; at one whose joins would list more than
+    with an undefined distance.  Each weight level of the join is priced when
+    the search reaches it; at one whose joins would list more than
     ``_kernels.MAX_JOIN_ENTRIES`` keys, summed over the alphabets, the search
     stops and reports the lower bound it reached.
     """
     n = code.n
     cap = n if weight_cap is None else min(weight_cap, n)
+    graphs = _graphs(code)
+    if graphs is not None:
+        result = _cycle_distance(graphs, cap)
+        if result is not None:
+            return result
     red = gf2.rref(code.matrix)
     if red.rank == n:
         return DistanceResult(None, cap, 0)

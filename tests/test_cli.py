@@ -10,7 +10,14 @@ from stab2lin import _kernels, bounds, cli, stabilizer
 from stab2lin.cli import main
 from stab2lin.formats import write_generator_text
 
-from util import DATA, data_path, hamming_direct_sum, random_code, rotated_surface_code
+from util import (
+    DATA,
+    data_path,
+    hamming_direct_sum,
+    random_code,
+    rotated_surface_code,
+    surface_code_x_row_added,
+)
 
 runner = CliRunner()
 
@@ -257,8 +264,11 @@ def test_distance_quantum_k_zero_undefined():
 
 def test_distance_quantum_work_limit(tmp_path, monkeypatch):
     path = tmp_path / "surface5.stab"
-    path.write_text("\n".join(rotated_surface_code(5).pauli_strings()) + "\n")
-    # surface d5 is CSS: two one-letter joins per weight
+    code = surface_code_x_row_added(5)
+    # still CSS, so two one-letter joins per weight, and not a graph as
+    # given, so the join runs
+    assert stabilizer.is_css(code) and stabilizer._graphs(code) is None
+    path.write_text("\n".join(code.pauli_strings()) + "\n")
     monkeypatch.setattr(_kernels, "MAX_JOIN_ENTRIES", 2 * _kernels.join_entries(25, 4, 1))
     res = run("distance", path, "--quantum")
     assert res.exit_code == 0
@@ -268,6 +278,15 @@ def test_distance_quantum_work_limit(tmp_path, monkeypatch):
     assert payload["stopped_by"] == "work-limit" and payload["searched"] == 4
     assert payload["distance"] is None and payload["exceeded"] is False
     assert payload["predicted_keys"] == 2 * _kernels.join_entries(25, 5, 1)
+
+
+def test_distance_quantum_surface_d11_exact(tmp_path):
+    # the join would refuse weight 10; the cycle route answers exactly
+    path = tmp_path / "surface11.stab"
+    path.write_text("\n".join(rotated_surface_code(11).pauli_strings()) + "\n")
+    res = run("distance", path, "--quantum")
+    assert res.exit_code == 0
+    assert res.output == "d=11 t=5\n"
 
 
 def test_distance_quantum_cap_json():

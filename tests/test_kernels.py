@@ -7,10 +7,11 @@ from math import comb
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stab2lin import _kernels, gf2, pauli
+from stab2lin import _kernels, gf2, pauli, stabilizer
 from stab2lin.formats import load_generator
 from stab2lin.lincode import (
     GeneratorMatrix,
@@ -18,9 +19,10 @@ from stab2lin.lincode import (
     coset_leaders,
     lightest_codewords,
 )
-from stab2lin.stabilizer import is_css, quantum_distance
+from stab2lin.stabilizer import StabilizerCode, is_css, quantum_distance
 
 from util import (
+    css_join_distance,
     data_path,
     decode_nearest,
     encode,
@@ -28,7 +30,9 @@ from util import (
     pauli_weight_rows,
     random_code,
     random_css_code,
+    random_graphlike_css_code,
     random_stabilizer_code,
+    thinned_surface_code,
 )
 
 MASK64 = (1 << 64) - 1
@@ -202,6 +206,51 @@ def test_css_alphabets_match_pauli_enumeration(case):
     d = 0 if rx + rz == n else pauli_enumeration_min_weight(code, n)
     assert kernel_answers(code, ("X", "Z")) == expected_answers(d, n)
     assert quantum_distance(code).value == (d or None)
+
+
+def assert_cycle_route_matches(code):
+    """The cycle route against the join over {X} and {Z} at every cap from
+    1 to n, field by field, and for n <= 7 against the scan of all 4^n Paulis.
+    The cover guard is raised so that codes of k up to 16 take the route."""
+    n = code.n
+    assert is_css(code) and stabilizer._graphs(code) is not None
+    with mock.patch.object(_kernels, "normalizer_min_weight", side_effect=AssertionError), \
+            mock.patch.object(stabilizer, "MAX_COVER_STATES", 1 << 17):
+        routed = [quantum_distance(code, cap) for cap in range(1, n + 1)]
+    assert routed == [css_join_distance(code, cap) for cap in range(1, n + 1)]
+    if n <= 7:
+        assert (routed[-1].value or 0) == pauli_enumeration_min_weight(code, n)
+
+
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(0, 2 * n), st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 0, 2, 3, 4]))))
+@settings(max_examples=40, deadline=None)
+def test_cycle_route_matches_the_join(case):
+    # random graphlike CSS codes (surface_d 0): any k from 0 up, dependent X
+    # rows, empty sides and qubits in no row of a side are all common; and
+    # rotated surface codes with rows left out, where d reaches 4
+    n, mx, tries, seed, surface_d = case
+    rng = np.random.default_rng(seed)
+    if surface_d:
+        code = thinned_surface_code(rng, surface_d)
+    else:
+        code = random_graphlike_css_code(rng, n, mx, tries)
+    assert_cycle_route_matches(code)
+
+
+@pytest.mark.parametrize("paulis", [
+    ["XX", "ZZ"],  # k = 0
+    ["Z"],  # k = 0, no X rows
+    ["XX"],  # no Z rows
+    ["ZZI", "IZZ"],  # no X rows, k = 1, d = 1
+    ["XXI", "ZZZ"],  # qubit 2 is in no X row
+    ["ZI"],  # qubit 1 is in no row of either side
+    ["XXII", "IIXX", "ZZZZ"],  # k = 1, d = 2
+    ["XXXX", "ZZZZ"],
+])
+def test_cycle_route_matches_the_join_on_small_cases(paulis):
+    assert_cycle_route_matches(StabilizerCode.from_paulis(paulis))
 
 
 def test_join_entries_counts_both_lists():

@@ -35,6 +35,7 @@ from util import (
     BLOCKS,
     DATA,
     bfs_ensure_r,
+    css_join_distance,
     data_path,
     flip_block_bit,
     in_rowspan,
@@ -48,6 +49,8 @@ from util import (
     reference_standard_form,
     rotated_surface_code,
     subset_ensure_r,
+    surface_code_x_row_added,
+    toric_code,
     walked_guard,
     writable_blocks,
 )
@@ -608,8 +611,12 @@ def test_quantum_distance_k_zero_is_undefined(monkeypatch):
 
 
 def test_quantum_distance_work_limit(monkeypatch):
-    code = rotated_surface_code(5)
-    # surface d5 is CSS: two one-letter joins per weight
+    # surface d5 with an X row added to another is still CSS, so the join
+    # runs two one-letter joins per weight, but a qubit's X column has
+    # weight 3, so the cycle route does not take it
+    code = surface_code_x_row_added(5)
+    assert is_css(code) and stabilizer._graphs(code) is None
+    assert (code.matrix[:, : code.n].sum(axis=0) == 3).any()
     monkeypatch.setattr(_kernels, "MAX_JOIN_ENTRIES", 2 * _kernels.join_entries(25, 4, 1))
     res = quantum_distance(code)
     assert (res.value, res.searched, res.stopped_by) == (None, 4, "work-limit")
@@ -627,7 +634,10 @@ def test_quantum_distance_guard_prices_each_level(monkeypatch):
         a = len(alphabets[0])
         for n in range(2, 101):
             keys = level_keys(n, alphabets)
-            code = StabilizerCode.from_paulis([letter + "I" * (n - 1)])
+            # listed three times, so qubit 0's column has weight 3 and the
+            # cycle route does not take the Z code
+            code = StabilizerCode.from_paulis([letter + "I" * (n - 1)] * 3)
+            assert stabilizer._graphs(code) is None
             assert is_css(code) == (a == 1)
             # caps 1, n/2 and n, and both sides of the refusal
             reach = walked_guard(keys, n)[0]
@@ -651,6 +661,71 @@ def test_quantum_distance_surface_exact(d):
     for c in (code, other):
         res = quantum_distance(c)
         assert (res.value, res.stopped_by) == (d, None)
+
+
+def join_refused():
+    """Fail any call of the join, so a distance must come from the cycle route."""
+    return mock.patch.object(_kernels, "normalizer_min_weight", side_effect=AssertionError)
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_cycle_route_surface_codes(d):
+    code = rotated_surface_code(d)
+    with join_refused():
+        res = quantum_distance(code)
+        below = quantum_distance(code, weight_cap=d - 1)
+    assert res == stabilizer.DistanceResult(d, code.n, d)
+    assert below == stabilizer.DistanceResult(None, d - 1, d - 1, "cap")
+    # the join agrees where it runs in time
+    if d <= 7:
+        assert css_join_distance(code, code.n) == res
+
+
+@pytest.mark.parametrize("L", range(2, 6))
+@pytest.mark.parametrize("drop", [True, False])
+def test_cycle_route_toric_codes(L, drop):
+    # k = 2; with every check listed the boundary vertex has no edges, and
+    # with one of each kind dropped, their qubits meet at the boundary
+    code = toric_code(L, drop)
+    assert code.n - gf2.rank(code.matrix) == 2
+    with join_refused():
+        res = quantum_distance(code)
+        assert quantum_distance(code, weight_cap=L - 1).exceeded
+    assert res == stabilizer.DistanceResult(L, code.n, L) == css_join_distance(code, code.n)
+
+
+@pytest.mark.parametrize("d", [11, 15])
+def test_cycle_route_surface_codes_past_the_join(d):
+    # the join refuses surface d = 11 at weight 10 (4.26e9 keys)
+    code = rotated_surface_code(d)
+    t0 = time.perf_counter()
+    with join_refused():
+        res = quantum_distance(code)
+    assert time.perf_counter() - t0 < 1.0
+    assert (res.value, res.searched, res.stopped_by) == (d, d, None)
+
+
+def test_cycle_route_past_the_cover_guard_runs_the_join(monkeypatch):
+    # surface d5 has 12 X and 12 Z rows and k = 1: 26 cover states a side
+    code = rotated_surface_code(5)
+    monkeypatch.setattr(stabilizer, "MAX_COVER_STATES", 26)
+    with join_refused():
+        assert quantum_distance(code).value == 5
+    monkeypatch.setattr(stabilizer, "MAX_COVER_STATES", 25)
+    with mock.patch.object(_kernels, "normalizer_min_weight", return_value=5) as join:
+        assert quantum_distance(code).value == 5
+    join.assert_called_once()
+
+
+def test_cycle_route_requires_a_graph_as_given():
+    surface = rotated_surface_code(3)
+    assert stabilizer._graphs(surface) is not None
+    # a mixed row, a column of weight 3, anticommuting rows
+    assert stabilizer._graphs(column_added(surface, 4)) is None
+    assert stabilizer._graphs(surface_code_x_row_added(3)) is None
+    assert stabilizer._graphs(StabilizerCode.from_paulis(["XI", "ZI"])) is None
+    # an identity row is a Z row without edges
+    assert stabilizer._graphs(StabilizerCode.from_paulis(["XX", "II"])) is not None
 
 
 def brute_is_css(code):

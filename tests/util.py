@@ -201,6 +201,69 @@ def rotated_surface_code(d: int) -> StabilizerCode:
     return StabilizerCode(np.array(rows), n)
 
 
+def surface_code_x_row_added(d: int) -> StabilizerCode:
+    """The rotated surface code with its last X row added to its first: the
+    same CSS group, but the first row's qubits reach X-column weight 3, so
+    the generators as given do not form a graph."""
+    code = rotated_surface_code(d)
+    x_rows = np.flatnonzero(code.matrix[:, : code.n].any(axis=1))
+    return apply_ops(code, [ElementaryOp(ROW_ADDITION, (int(x_rows[0]), int(x_rows[-1])))])
+
+
+def toric_code(L: int, drop: bool = True) -> StabilizerCode:
+    """The [[2L^2, 2, L]] toric code on an L x L periodic grid: an X check on
+    the four edges at each vertex and a Z check on the four edges of each
+    face.  With ``drop`` the last check of each kind, the sum of the others,
+    is left out, so the generators are independent."""
+    n = 2 * L * L
+
+    def edge(i, j, vertical):
+        return vertical * L * L + i % L * L + j % L
+
+    rows = []
+    for i, j in product(range(L), repeat=2):
+        star = [edge(i, j, 0), edge(i, j - 1, 0), edge(i, j, 1), edge(i - 1, j, 1)]
+        face = [n + edge(i, j, 0), n + edge(i + 1, j, 0), n + edge(i, j, 1), n + edge(i, j + 1, 1)]
+        for qubits in (star, face):
+            row = np.zeros(2 * n, np.uint8)
+            row[qubits] = 1
+            rows.append(row)
+    return StabilizerCode(np.array(rows[: -2] if drop else rows), n)
+
+
+def thinned_surface_code(rng: np.random.Generator, d: int) -> StabilizerCode:
+    """The rotated surface code with 0, 1 or 2 random rows left out and the
+    qubits shuffled."""
+    code = rotated_surface_code(d)
+    perm = rng.permutation(code.n)
+    mat = np.delete(code.matrix, rng.choice(code.m, size=int(rng.integers(3)), replace=False), axis=0)
+    return StabilizerCode(mat[:, np.concatenate([perm, code.n + perm])], code.n)
+
+
+def random_graphlike_css_code(rng: np.random.Generator, n: int, mx: int, tries: int) -> StabilizerCode:
+    """A random CSS code whose X rows and Z rows each give every qubit column
+    weight <= 2, its rows in random order.  Each qubit lies in 0, 1 or 2 of
+    ``mx`` X rows, and empty rows are dropped, so the X rows may be
+    dependent.  Each of ``tries`` Z row candidates, one vector of a basis of
+    ker(H_X) or the sum of two, is kept if the Z rows stay independent and of
+    column weight <= 2."""
+    hx = np.zeros((mx, n), np.uint8)
+    for q in range(n):
+        hx[rng.choice(mx, size=min(mx, int(rng.integers(3))), replace=False), q] = 1
+    hx = hx[hx.any(axis=1)]
+    dual = gf2.nullspace(hx)
+    hz = np.zeros((0, n), np.uint8)
+    for _ in range(tries if len(dual) else 0):
+        pick = rng.choice(len(dual), size=min(len(dual), int(rng.integers(1, 3))), replace=False)
+        rows = np.vstack([hz, np.bitwise_xor.reduce(dual[pick], axis=0)])
+        if (rows.sum(axis=0) <= 2).all() and gf2.rank(rows) == len(rows):
+            hz = rows
+    mat = np.zeros((len(hx) + len(hz), 2 * n), np.uint8)
+    mat[: len(hx), :n] = hx
+    mat[len(hx) :, n:] = hz
+    return StabilizerCode(mat[rng.permutation(len(mat))], n)
+
+
 def random_elementary_op(rng: np.random.Generator, n: int, m: int) -> ElementaryOp:
     kind = str(rng.choice([ROW_ADDITION, COLUMN_TRANSPOSITION, COLUMN_SWITCH, COLUMN_ADDITION]))
     if kind == ROW_ADDITION:
@@ -412,6 +475,19 @@ def level_keys(n: int, alphabets: tuple[str, ...]) -> list:
     return [None] + [
         sum(_kernels.join_entries(n, w, len(a)) for a in alphabets) for w in range(1, n + 1)
     ]
+
+
+def css_join_distance(code: StabilizerCode, cap: int) -> stabilizer.DistanceResult:
+    """The distance of a CSS code by the join over {X} and {Z}
+    (:func:`_kernels.normalizer_min_weight`), as :func:`quantum_distance`
+    reports it off the cycle route."""
+    n = code.n
+    red = gf2.rref(code.matrix)
+    if red.rank == n:
+        return stabilizer.DistanceResult(None, cap, 0)
+    span = red.matrix[: red.rank]
+    d = _kernels.normalizer_min_weight(code.matrix, span, red.pivots, n, cap, ("X", "Z"))
+    return stabilizer.DistanceResult(d, cap, d) if d else stabilizer.DistanceResult(None, cap, cap, "cap")
 
 
 def walked_guard(keys: list, cap: int) -> tuple[int, int | None]:
