@@ -141,9 +141,15 @@ def points(
     channel: str, delta_from: float, delta_to: float, step: float
 ) -> Iterator[tuple[float, BoundCurve]]:
     """Every grid point paired with each curve of the channel that applies
-    there, in grid order, then curve order."""
-    for d in grid(delta_from, delta_to, step):
-        for curve in curves_for(channel):
+    there, in grid order, then curve order.  A grid reaching outside the
+    curves' domains, [0, 1/2], raises ValueError."""
+    curves = curves_for(channel)
+    deltas = grid(delta_from, delta_to, step)
+    lo, hi = min(c.domain[0] for c in curves), max(c.domain[1] for c in curves)
+    if not lo <= delta_from <= delta_to <= hi:
+        raise ValueError(f"the grid must lie in [{lo:g}, {hi:g}], got [{delta_from:g}, {delta_to:g}]")
+    for d in deltas:
+        for curve in curves:
             if curve.applies(d):
                 yield d, curve
 

@@ -93,12 +93,15 @@ def rank(m: np.ndarray) -> int:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2)."""
+    """Matrix product over GF(2), as a floating-point BLAS product taken mod 2.
+    Each entry is a sum of at most ``inner`` products of 0 and 1, an integer
+    that float32 holds exactly below 2^24 and float64 below 2^53."""
     a = as_bits(a, copy=False)
     b = as_bits(b, copy=False)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return (a.astype(np.uint32) @ b.astype(np.uint32) & 1).astype(np.uint8)
+    exact, whole = (np.float32, np.int32) if a.shape[1] < 1 << 24 else (np.float64, np.int64)
+    return ((a.astype(exact) @ b.astype(exact)).astype(whole) & 1).astype(np.uint8)
 
 
 def nullspace(m: np.ndarray) -> np.ndarray:

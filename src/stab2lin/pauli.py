@@ -50,6 +50,6 @@ def symplectic_product_rows(rows: np.ndarray) -> np.ndarray:
     m x 2n matrix: entry (i, j) is 1 when rows i and j anticommute."""
     rows = gf2.as_bits(rows, copy=False)
     n = rows.shape[1] // 2
-    a, b = rows[:, :n], rows[:, n:]
-    return gf2.mat_mul(a, b.T) ^ gf2.mat_mul(b, a.T)
+    ab = gf2.mat_mul(rows[:, :n], rows[:, n:].T)  # the b.a' half is its transpose
+    return ab ^ ab.T
 

@@ -414,31 +414,35 @@ def is_css(code: StabilizerCode) -> bool:
     return gf2.rank(mat[:, :n]) + gf2.rank(mat[:, n:]) == gf2.rank(mat)
 
 
-# The cycle route of quantum_distance runs while each side's covering graph has
-# at most this many vertices, 2^k (m_side + 1); past it the join runs.
-MAX_COVER_STATES = 1 << 12
+# The cycle route of quantum_distance runs while each step of its breadth-first
+# search gathers at most this many uint64 words, 2n 2^k cover edges times
+# ceil(S / 64) words of S sources; past it the join runs.
+MAX_COVER_WORDS = 1 << 22
 
 
 def _graphs(code: StabilizerCode) -> list[tuple[list, int]] | None:
     """The graphs of the X rows and of the Z rows, when the generators as
-    given form graphs: every row is pure X or pure Z (an identity row counts
-    as Z), each half gives every qubit column weight <= 2, and the X rows
+    given form graphs: every row is pure X or pure Z (an identity row is left
+    out), each half gives every qubit column weight <= 2, and the X rows
     commute with the Z rows; else None.
 
     A side with m rows is a graph on m + 1 vertices, its rows and a boundary
     vertex m, returned as the endpoints of each qubit's edge, its rows padded
     with the boundary (a qubit in no row is a loop at the boundary), and
-    that vertex count."""
+    that vertex count.  Each row meets a qubit and each qubit at most two
+    rows, so m <= 2n."""
     n, mat = code.n, code.matrix
-    has_x = mat[:, :n].any(axis=1)
-    if (has_x & mat[:, n:].any(axis=1)).any():
+    has_x, has_z = mat[:, :n].any(axis=1), mat[:, n:].any(axis=1)
+    if (has_x & has_z).any():
         return None
     graphs = []
-    for checks in (mat[has_x, :n], mat[~has_x, n:]):
+    for checks in (mat[has_x, :n], mat[has_z, n:]):
         if (checks.sum(axis=0) > 2).any():
             return None
         ends = np.full((n, 2), len(checks), dtype=np.intp)
-        qubit, row = np.nonzero(checks.T)
+        row, qubit = np.nonzero(checks.view(bool))  # a scan in memory order
+        order = np.argsort(qubit, kind="stable")  # by qubit, then row
+        qubit, row = qubit[order], row[order]
         ends[qubit, np.arange(len(qubit)) - np.searchsorted(qubit, qubit)] = row
         graphs.append((ends, len(checks) + 1))
     # X row i and Z row j commute iff they share an even number of qubits, so
@@ -479,35 +483,34 @@ def _forest(ends: list, vertices: int, edges) -> tuple[list[int], list[int], lis
     return order, parent, [e for e in edges if e not in on_forest]
 
 
-def _cycle_labels(ends_b: list, vertices_b: int, off_a: list[int], n: int) -> np.ndarray:
-    """Each qubit's label, an int of k bits, such that a cycle of graph A is
-    a row sum of the other side exactly when its labels XOR to 0.
-    ``off_a`` lists the edges off a spanning forest of A, and graph B
-    (``ends_b``) is that of the other side's rows.  Bit j of the labels is
-    the j-th fundamental cycle of a spanning forest of B on the ``off_a``
-    edges: its edge off that forest gets bit j alone, and each forest edge
-    the bits whose edges have one end below it."""
-    order, parent, off_b = _forest(ends_b, vertices_b, off_a)
+def _cycle_labels(ends: list, forest: list[list[int]], chords: list[int], n: int) -> np.ndarray:
+    """Each qubit's label, an int of len(``chords``) bits: bit j marks the
+    edges of the cycle that chord j, an edge off ``forest`` (the visiting
+    order and parent edges of :func:`_forest` on the graph ``ends``), closes
+    through the forest.  The chord gets bit j alone, and each forest edge the
+    bits of the chords with one end below it."""
+    order, parent = forest
     labels = [0] * n
-    charge = [0] * vertices_b
-    for j, e in enumerate(off_b):
+    charge = [0] * len(parent)
+    for j, e in enumerate(chords):
         labels[e] = 1 << j
-        for v in ends_b[e]:
+        for v in ends[e]:
             charge[v] ^= 1 << j
     for v in reversed(order):
         e = parent[v]
         if e >= 0:
             labels[e] = charge[v]
-            charge[sum(ends_b[e]) - v] ^= charge[v]
+            charge[sum(ends[e]) - v] ^= charge[v]
     return np.array(labels, dtype=np.intp)
 
 
-def _shortest_nontrivial_cycle(ends: list, vertices: int, labels: np.ndarray, k: int, cap: int) -> int:
+def _shortest_nontrivial_cycle(
+    ends: list, vertices: int, labels: np.ndarray, sources: list[int], k: int, cap: int
+) -> int:
     """The least length <= ``cap`` of a closed walk whose edge labels XOR to
     a nonzero value, 0 if none: breadth-first search on the 2^k-fold cover,
-    state v * 2^k + sigma, from (v, 0) for every source v at once, each
-    source one bit of the frontier's uint64 words.  The sources are one end
-    of each labelled edge, since every nontrivial cycle holds such an edge."""
+    state v * 2^k + sigma, from (v, 0) for every vertex v of ``sources``
+    (sorted) at once, each source one bit of the frontier's uint64 words."""
     size = 1 << k
     sigma = np.arange(size)
     ends = np.array(ends, dtype=np.intp) * size
@@ -518,9 +521,7 @@ def _shortest_nontrivial_cycle(ends: list, vertices: int, labels: np.ndarray, k:
     src, dst = src[order], dst[order]
     starts = np.flatnonzero(np.diff(dst, prepend=-1))
     into = dst[starts]
-    is_source = np.zeros(vertices * size, dtype=bool)
-    is_source[ends[labels != 0, 0]] = True
-    sources = np.flatnonzero(is_source)
+    sources = np.array(sources, dtype=np.intp) * size
     word = np.arange(len(sources)) // 64
     bit = np.left_shift(np.uint64(1), (np.arange(len(sources)) % 64).astype(np.uint64))
     front = np.zeros((vertices * size, word[-1] + 1), dtype=np.uint64)
@@ -540,19 +541,38 @@ def _shortest_nontrivial_cycle(ends: list, vertices: int, labels: np.ndarray, k:
 
 def _cycle_distance(graphs: list[tuple[list, int]], cap: int) -> DistanceResult | None:
     """:func:`quantum_distance` of a code whose sides form ``graphs``
-    (:func:`_graphs`), by the shortest nontrivial cycle on each side; None
-    when a side's cover has more than ``MAX_COVER_STATES`` states."""
-    n = len(graphs[0][0])
-    sides = [(ends, vertices, _forest(ends, vertices, range(n))[2]) for ends, vertices in graphs]
-    k = sum(len(off) for *_, off in sides) - n  # n - rank(H_X) - rank(H_Z)
+    (:func:`_graphs`), by the shortest nontrivial cycle on each side, from
+    one tree-cotree split: T_X spans the X graph over every qubit, T_Z the Z
+    graph over the edges off T_X, and the k chords, the edges off both,
+    label the X graph's search by the cycles they close through T_Z and the
+    Z graph's by those they close through T_X.
+
+    None when a step of either search would gather more than
+    ``MAX_COVER_WORDS`` words: its 2n 2^k cover edges, listed from both ends,
+    each gather ceil(S / 64) words, S the sources, one end of each labelled
+    edge (every nontrivial cycle holds a labelled edge).  Its frontiers, of
+    (m + 1) 2^k <= (2n + 1) 2^k states, take as many words each.  Past the
+    limit with a single word, which k >= 63 would be, no label is built."""
+    (ends_x, vertices_x), (ends_z, vertices_z) = graphs
+    n = len(ends_x)
+    *tree_x, off_x = _forest(ends_x, vertices_x, range(n))
+    *tree_z, chords = _forest(ends_z, vertices_z, off_x)
+    k = len(chords)  # n - rank(H_X) - rank(H_Z)
     if k == 0:
         return DistanceResult(None, cap, 0)
-    if max(vertices for _, vertices in graphs) << k > MAX_COVER_STATES:
+    edges = 2 * n << k
+    if edges > MAX_COVER_WORDS:
         return None
+    searches = []
+    for (ends, vertices), (other, tree) in zip(graphs, ((ends_z, tree_z), (ends_x, tree_x))):
+        labels = _cycle_labels(other, tree, chords, n)
+        sources = sorted({ends[e][0] for e in np.flatnonzero(labels).tolist()})
+        if edges * -(-len(sources) // 64) > MAX_COVER_WORDS:
+            return None
+        searches.append((ends, vertices, labels, sources))
     d = 0
-    for (ends_a, vertices_a, off_a), (ends_b, vertices_b, _) in (sides, sides[::-1]):
-        labels = _cycle_labels(ends_b, vertices_b, off_a, n)
-        d = _shortest_nontrivial_cycle(ends_a, vertices_a, labels, k, d - 1 if d else cap) or d
+    for search in searches:
+        d = _shortest_nontrivial_cycle(*search, k, d - 1 if d else cap) or d
     return DistanceResult(d, cap, d) if d else DistanceResult(None, cap, cap, CAP)
 
 
@@ -572,42 +592,57 @@ def quantum_distance(code: StabilizerCode, weight_cap: int | None = None) -> Dis
     of Dennis, Kitaev, Landahl & Preskill, "Topological quantum memory",
     quant-ph/0110143).  When the generators as given are pure X or pure Z
     rows, each half of column weight <= 2, and the two halves commute
-    (:func:`_graphs`), d_Z is found as follows, and d_X the same way with X
-    and Z swapped.
+    (:func:`_graphs`), d_Z and d_X are found from one tree-cotree split (as
+    in Eppstein, "Dynamic generators of topologically embedded graphs",
+    SODA 2003).
 
-    - ker(H_X) is the cycle space of a graph G.  Its vertices are the X rows
-      plus one boundary vertex, and each qubit is an edge: between its two X
-      rows, from its one X row to the boundary, or a loop at the boundary if
-      it is in none.  A vector c is in ker(H_X) iff every X row meets it an
-      even number of times, i.e. iff its edges give every row vertex even
-      degree, and then the boundary too, as degrees sum to twice |c|.  A
-      toric code's dropped dependent check is simply the boundary vertex.
+    - ker(H_X) is the cycle space of a graph G_X.  Its vertices are the X
+      rows plus one boundary vertex, and each qubit is an edge: between its
+      two X rows, from its one X row to the boundary, or a loop at the
+      boundary if it is in none.  A vector c is in ker(H_X) iff every X row
+      meets it an even number of times, i.e. iff its edges give every row
+      vertex even degree, and then the boundary too, as degrees sum to twice
+      |c|.  A toric code's dropped dependent check is simply the boundary
+      vertex.  Likewise ker(H_Z) is the cycle space of G_Z, on the Z rows.
+      rowspan(H_X) is the cut space of G_X, and a nonzero cut of a graph
+      meets every spanning forest of it: the forest path between the ends of
+      an edge the cut separates crosses the cut.
     - Z^c, for c in ker(H_X), is in the group iff c is in rowspan(H_Z) =
       ker(H_Z)^perp, i.e. iff c is orthogonal to every X logical: ker(H_Z) is
       rowspan(H_X) plus k X logicals, and c is orthogonal to rowspan(H_X)
       already.  Any k vectors x_j of ker(H_Z) independent modulo
-      rowspan(H_X) serve.  Take a spanning forest T of G; a cycle of G is
-      fixed by its edges off T, and rowspan(H_Z) lies in ker(H_X), so the
-      Z rows restricted to those n - rank(H_X) edges keep rank(H_Z).
-      ker(H_Z) is the cycle space of the graph of the Z rows, and its
-      cycles on the edges off T, a space of dimension n - rank(H_X) -
-      rank(H_Z) = k, give the x_j: the fundamental cycles of a spanning
-      forest of that subgraph (:func:`_cycle_labels`).  None of their sums
-      is in rowspan(H_X), the cut space of G, as every nonzero cut meets T.
-    - Label each edge e with k bits, bit j set when e lies on x_j; then
-      Z^c is in the group iff the labels of c's edges XOR to 0.  A closed
-      walk from v ends at (v, sigma) in the 2^k-fold cover, sigma the XOR of
-      its labels, and the edges it uses an odd number of times form a cycle
-      of that label and no greater length.  A cycle of nonzero label splits into
-      simple cycles, one of them of nonzero label, which is a closed walk
-      from any vertex on it.  So d_Z is the least BFS distance from (v, 0)
-      to (v, sigma != 0), minimized over v
-      (:func:`_shortest_nontrivial_cycle`).
-    - d = min(d_X, d_Z), by the split above.
+      rowspan(H_X) serve.  Likewise X^c, for c in ker(H_Z), is in the group
+      iff c is orthogonal to k vectors z_j of ker(H_X) independent modulo
+      rowspan(H_Z).
+    - The split.  Take a spanning forest T_X of G_X.  A cycle of G_X is
+      fixed by its edges off T_X, and rowspan(H_Z) lies in ker(H_X), so the
+      Z rows restricted to those n - rank(H_X) edges keep rank(H_Z); a
+      spanning forest T_Z of the subgraph of G_Z they form has rank(H_Z)
+      edges, and n - rank(H_X) - rank(H_Z) = k edges, the chords, lie on
+      neither forest.  Chord j closes a cycle x_j of G_Z through T_Z and a
+      cycle z_j of G_X through T_X (:func:`_cycle_labels`).
+    - A nonzero sum of the x_j holds its chords and avoids T_X, which every
+      nonzero cut of G_X meets, so it is not in rowspan(H_X).  A nonzero sum
+      of the z_j holds its chords, and off T_X it holds nothing else, so it
+      misses T_Z.  A nonzero element of rowspan(H_Z) stays nonzero on the
+      edges off T_X, by the kept rank, where it is a nonzero cut of the
+      subgraph that T_Z spans, so it meets T_Z: it is no sum of the z_j.
+    - Label each edge e of G_X with k bits, bit j set when e lies on x_j;
+      then Z^c is in the group iff the labels of c's edges XOR to 0, and
+      the edges of G_Z likewise by the z_j.  A closed walk from v ends at
+      (v, sigma) in the 2^k-fold cover, sigma the XOR of its labels, and the
+      edges it uses an odd number of times form a cycle of that label and no
+      greater length.  A cycle of nonzero label splits into simple cycles,
+      one of them of nonzero label, which is a closed walk from any vertex
+      on it.  So d_Z is the least BFS distance from (v, 0) to
+      (v, sigma != 0) in the cover of G_X, minimized over v, and d_X the
+      same in the cover of G_Z (:func:`_shortest_nontrivial_cycle`).
+    - d = min(d_X, d_Z), as for every CSS group above.
 
-    Every other code, and a graphlike one whose cover exceeds
-    ``MAX_COVER_STATES`` states on a side, is searched by increasing weight
-    with the meet-in-the-middle join of :func:`_kernels.normalizer_min_weight`.
+    Every other code, and a graphlike one whose search would gather more
+    than ``MAX_COVER_WORDS`` words in a step (:func:`_cycle_distance`), is
+    searched by increasing weight with the meet-in-the-middle join of
+    :func:`_kernels.normalizer_min_weight`.
 
     ``weight_cap`` defaults to n (exhaustive).  A k = 0 code returns at once
     with an undefined distance.  Each weight level of the join is priced when

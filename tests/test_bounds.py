@@ -172,3 +172,13 @@ def test_emit_curves_invalid_grid():
         B.emit_curves("adversarial", 0.3, 0.2, 0.05)
     with pytest.raises(ValueError):
         B.curves_for("sideways")
+
+
+@pytest.mark.parametrize("channel", ["adversarial", "depolarizing"])
+def test_points_refuse_a_grid_outside_the_domains(channel):
+    # every curve lives in [0, 1/2]; a grid reaching past it would print no
+    # row or drop rows silently
+    for lo, hi in ((0.6, 0.9), (-0.5, -0.1), (-0.1, 0.2), (0.3, 0.51)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 0.5\]"):
+            list(B.points(channel, lo, hi, 0.05))
+    assert B.emit_curves(channel, 0.0, 0.5, 0.25).count("\n0.5,") >= 1

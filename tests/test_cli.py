@@ -512,6 +512,14 @@ def test_bounds_invalid_grid_exit_two():
             assert f"grid '{flag[2:]}' must be finite" in res.stderr, (flag, value)
 
 
+def test_bounds_grid_outside_the_domains_exit_two():
+    for lo, hi in (("0.6", "0.9"), ("-0.5", "-0.1")):
+        for extra in ((), ("--json",)):
+            res = run("bounds", "--channel", "adversarial", "--from", lo, "--to", hi, *extra)
+            assert res.exit_code == 2, (lo, hi, extra)
+            assert "must lie in [0, 0.5]" in res.stderr and not res.stdout
+
+
 def test_bounds_oversized_grid_exit_two():
     # 2.5e8 points: refused up front, not looped over
     for extra in ((), ("--json",)):

@@ -94,6 +94,40 @@ def test_mat_mul_dimension_mismatch():
         gf2.mat_mul(np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
 
 
+def popcount_parity_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Oracle: entry (i, j) is the parity of the popcount of row i of a AND
+    column j of b, each read as a binary numeral."""
+
+    def numeral(bits):
+        return int("".join(map(str, bits.tolist())) or "0", 2)
+
+    rows, cols = [numeral(r) for r in a], [numeral(c) for c in b.T]
+    entries = [bin(r & c).count("1") & 1 for r in rows for c in cols]
+    return np.array(entries, dtype=np.uint8).reshape(len(rows), len(cols))
+
+
+@given(st.integers(0, 5), st.integers(0, 70), st.integers(0, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from(["C", "F", "transposed", "sliced"]))
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_matches_popcount_parity(rows, inner, cols, seed, layout):
+    # inner dimension 0 included, and operands in every memory layout
+    rng = np.random.default_rng(seed)
+
+    def operand(r, c):
+        if layout == "F":
+            return np.asfortranarray(rng.integers(0, 2, (r, c), dtype=np.uint8))
+        if layout == "transposed":
+            return rng.integers(0, 2, (c, r), dtype=np.uint8).T
+        if layout == "sliced":
+            return rng.integers(0, 2, (2 * r, 3 * c + 1), dtype=np.uint8)[::2, 1::3]
+        return rng.integers(0, 2, (r, c), dtype=np.uint8)
+
+    a, b = operand(rows, inner), operand(inner, cols)
+    assert a.shape == (rows, inner) and b.shape == (inner, cols)
+    got = gf2.mat_mul(a, b)
+    assert got.dtype == np.uint8 and np.array_equal(got, popcount_parity_product(a, b))
+
+
 def test_generator_times_parity_check_is_zero():
     # the (7,3) code: G = (A1^T | I), H = (I | A1)
     a1t = np.array([[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1]], dtype=np.uint8)

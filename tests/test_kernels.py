@@ -211,11 +211,13 @@ def test_css_alphabets_match_pauli_enumeration(case):
 def assert_cycle_route_matches(code):
     """The cycle route against the join over {X} and {Z} at every cap from
     1 to n, field by field, and for n <= 7 against the scan of all 4^n Paulis.
-    The cover guard is raised so that codes of k up to 16 take the route."""
+    The cover guard is pinned at 2n 2^k words for n = k = 16, what a step
+    gathers there (at most 2n + 1 sources, one word), so every drawn code
+    takes the route."""
     n = code.n
     assert is_css(code) and stabilizer._graphs(code) is not None
     with mock.patch.object(_kernels, "normalizer_min_weight", side_effect=AssertionError), \
-            mock.patch.object(stabilizer, "MAX_COVER_STATES", 1 << 17):
+            mock.patch.object(stabilizer, "MAX_COVER_WORDS", 32 << 16):
         routed = [quantum_distance(code, cap) for cap in range(1, n + 1)]
     assert routed == [css_join_distance(code, cap) for cap in range(1, n + 1)]
     if n <= 7:

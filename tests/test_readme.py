@@ -66,7 +66,7 @@ LIMITS = {
     "NK_EXACT_LIMIT": "lincode",
     "MAX_MC_WORK": "lincode",
     "MAX_JOIN_ENTRIES": "_kernels",
-    "MAX_COVER_STATES": "stabilizer",
+    "MAX_COVER_WORDS": "stabilizer",
     "MAX_GRID_POINTS": "bounds",
 }
 

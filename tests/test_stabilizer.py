@@ -705,16 +705,41 @@ def test_cycle_route_surface_codes_past_the_join(d):
     assert (res.value, res.searched, res.stopped_by) == (d, d, None)
 
 
-def test_cycle_route_past_the_cover_guard_runs_the_join(monkeypatch):
-    # surface d5 has 12 X and 12 Z rows and k = 1: 26 cover states a side
-    code = rotated_surface_code(5)
-    monkeypatch.setattr(stabilizer, "MAX_COVER_STATES", 26)
+@pytest.mark.parametrize("family, size", [("surface", 64), ("surface", 101), ("toric", 33), ("toric", 40)])
+def test_cycle_route_at_scale(family, size):
+    # surface d = 101 is n = 10201; every one of these once went to the join
+    code = rotated_surface_code(size) if family == "surface" else toric_code(size)
+    t0 = time.perf_counter()
     with join_refused():
-        assert quantum_distance(code).value == 5
-    monkeypatch.setattr(stabilizer, "MAX_COVER_STATES", 25)
-    with mock.patch.object(_kernels, "normalizer_min_weight", return_value=5) as join:
-        assert quantum_distance(code).value == 5
-    join.assert_called_once()
+        res = quantum_distance(code)
+    assert time.perf_counter() - t0 < 2.0
+    assert res == stabilizer.DistanceResult(size, code.n, size)
+
+
+@pytest.mark.parametrize("d, words", [(5, 100), (65, 33800)])
+def test_cycle_route_guard_edge(d, words):
+    # surface codes have k = 1, so a step gathers 2n * 2 cover edges of one
+    # source word at d = 5 (4 and 3 sources) and two at d = 65 (65 and 33)
+    code = rotated_surface_code(d)
+    graphs = stabilizer._graphs(code)
+    with mock.patch.object(stabilizer, "MAX_COVER_WORDS", words):
+        assert stabilizer._cycle_distance(graphs, code.n) == stabilizer.DistanceResult(d, code.n, d)
+    # one word over the bound refuses; at d = 5 the edges alone exceed it, so
+    # no label is built
+    labels = mock.patch.object(stabilizer, "_cycle_labels", wraps=stabilizer._cycle_labels)
+    with mock.patch.object(stabilizer, "MAX_COVER_WORDS", words - 1), labels as labelled:
+        assert stabilizer._cycle_distance(graphs, code.n) is None
+    assert labelled.called == (d != 5)
+
+
+def test_cycle_route_past_the_cover_guard_runs_the_join():
+    code = rotated_surface_code(5)
+    with mock.patch.object(stabilizer, "MAX_COVER_WORDS", 100), join_refused():
+        routed = quantum_distance(code)
+    join = mock.patch.object(_kernels, "normalizer_min_weight", wraps=_kernels.normalizer_min_weight)
+    with mock.patch.object(stabilizer, "MAX_COVER_WORDS", 99), join as joined:
+        assert quantum_distance(code) == routed == stabilizer.DistanceResult(5, 25, 5)
+    joined.assert_called_once()
 
 
 def test_cycle_route_requires_a_graph_as_given():
@@ -724,8 +749,8 @@ def test_cycle_route_requires_a_graph_as_given():
     assert stabilizer._graphs(column_added(surface, 4)) is None
     assert stabilizer._graphs(surface_code_x_row_added(3)) is None
     assert stabilizer._graphs(StabilizerCode.from_paulis(["XI", "ZI"])) is None
-    # an identity row is a Z row without edges
-    assert stabilizer._graphs(StabilizerCode.from_paulis(["XX", "II"])) is not None
+    # an identity row is left out: the Z side is the boundary vertex alone
+    assert stabilizer._graphs(StabilizerCode.from_paulis(["XX", "II"]))[1] == ([[0, 0], [0, 0]], 1)
 
 
 def brute_is_css(code):

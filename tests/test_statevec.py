@@ -283,6 +283,16 @@ def test_verify_phi_surface_d7_under_a_second():
     assert rep.all_ok, rep.counterexamples
 
 
+def test_verify_phi_surface_d35():
+    # n = 1225: the Gram matrix of the standard form took 27 s as a uint32
+    # product; through BLAS the whole check takes about 0.1 s
+    sf = to_standard_form(rotated_surface_code(35))
+    t0 = time.perf_counter()
+    rep = verify_phi(sf)
+    assert time.perf_counter() - t0 < 2.0
+    assert rep.all_ok and not rep.counterexamples
+
+
 def _outcome(check, sf):
     """The three verdicts, or the collapse message.  ``verify_phi`` proves
     the error correspondence without a phase, so the dense oracle, which

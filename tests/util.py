@@ -195,10 +195,12 @@ def rotated_surface_code(d: int) -> StabilizerCode:
             x_type = (i + j) % 2 == 0
             edge = i in (-1, d - 1) if x_type else j in (-1, d - 1)
             if len(qubits) == 4 or (len(qubits) == 2 and edge):
-                row = np.zeros(2 * n, np.uint8)
-                row[np.array(qubits) + (0 if x_type else n)] = 1
-                rows.append(row)
-    return StabilizerCode(np.array(rows), n)
+                rows.append([q + (0 if x_type else n) for q in qubits])
+    # filled in place, so a large code's matrix is written once
+    mat = np.zeros((len(rows), 2 * n), np.uint8)
+    for row, cols in zip(mat, rows):
+        row[cols] = 1
+    return StabilizerCode(mat, n)
 
 
 def surface_code_x_row_added(d: int) -> StabilizerCode:
