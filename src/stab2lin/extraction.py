@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stabilizer import StandardForm
+from .stabilizer import StandardForm, logical_bit_ops
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,13 @@ class ExtractionResult:
 
 
 def extract_classical(sf: StandardForm) -> ExtractionResult:
-    """Build (A1^T | I_k) from a standard form. Requires k >= 1."""
+    """Build (A1^T | I_k) from a standard form: the Z parts of the N_j
+    (:func:`stabilizer.logical_bit_ops`) on the first n - r qubits. Requires
+    k >= 1."""
     if sf.k == 0:
         raise ValueError("no encoded qubits, no classical code (k = 0)")
-    gen = np.hstack([sf.a1.T, np.eye(sf.k, dtype=np.uint8)])
     return ExtractionResult(
-        generator=gen,
+        generator=logical_bit_ops(sf)[:, sf.n : 2 * sf.n - sf.r],
         n_classical=sf.n - sf.r,
         k=sf.k,
         r=sf.r,

@@ -173,10 +173,9 @@ class CosetLeaders:
     ``GeneratorMatrix.h``, and the syndrome of the single-bit error e_j is
     its ``syndrome_cols[j]``.  ``min_weight[s]`` is the leader weight of the
     coset with syndrome s, and ``count[s]`` the number of patterns of that
-    weight in it.  Each table keeps the width its fill computes:
-    ``min_weight`` is int8, and ``count`` is ``np.min_scalar_type(2^k)`` on
-    the grid fill (at most 2^k codewords reach a leader) and int64 on the
-    search fill.
+    weight in it.  ``min_weight`` is int8, and ``count`` the narrowest
+    unsigned type that holds 2^k, a coset's size (uint64 from k = 63 on,
+    where ``coset_leaders``' guard keeps counts below 2^63).
     """
 
     min_weight: np.ndarray
@@ -240,7 +239,8 @@ def _leader_counts(cols: np.ndarray, min_weight: np.ndarray) -> np.ndarray:
     coset contains bit j, or s would have weight w-2.  So
     ``w * count[s] = sum_j [min_weight[s ^ h_j] == w-1] * count[s ^ h_j]``.
     """
-    count = np.zeros(min_weight.size, dtype=np.int64)
+    k = len(cols) + 1 - min_weight.size.bit_length()  # the table has 2^(n-k) entries
+    count = np.zeros(min_weight.size, dtype=np.min_scalar_type(1 << min(k, 63)))
     count[0] = 1
     step = max(1, _CHUNK // len(cols))
     for w in range(1, int(min_weight.max()) + 1):

@@ -12,9 +12,22 @@ import numpy as np
 
 from . import gf2
 
-_BITS_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-# both cases, read from the table: str.upper would also map 'ı' to 'I'
-_CHAR_TO_BITS = {c: bits for bits, ch in _BITS_TO_CHAR.items() for c in (ch, ch.lower())}
+# The letter of the bits (a, b) is _LETTERS[a + 2b].
+_LETTERS = b"IXZY"
+
+
+def _inverse(bit: int, other: int) -> bytes:
+    """A translation table over Latin-1 code points: both cases of a letter
+    give bit ``bit`` of its a + 2b, any other code point ``other``."""
+    table = bytearray([other]) * 256
+    for code, letter in enumerate(_LETTERS):
+        table[letter] = table[letter + 32] = code >> bit & 1
+    return bytes(table)
+
+
+# a = 2 marks no letter
+_A_OF, _B_OF = _inverse(0, 2), _inverse(1, 0)
+_TO_LETTER = _LETTERS.ljust(256, b"?")
 
 
 class PauliParseError(ValueError):
@@ -32,17 +45,18 @@ def parse_pauli(text: str) -> np.ndarray:
         text = text[1:]
     if not text:
         raise PauliParseError("empty Pauli string", 1)
-    bits = [_CHAR_TO_BITS.get(ch) for ch in text]
-    if None in bits:
-        i = bits.index(None)
+    raw = text.encode("latin-1", "replace")  # any other character as '?': byte i is text[i]
+    a = raw.translate(_A_OF)
+    i = a.find(2)
+    if i >= 0:
         raise PauliParseError(f"invalid symbol {text[i]!r}", i + 1)
-    return np.array(bits, dtype=np.uint8).T.reshape(-1)
+    return np.frombuffer(bytearray(a + raw.translate(_B_OF)), np.uint8)
 
 
 def pauli_string(row: np.ndarray) -> str:
     """The symbol string of an (a|b) row."""
     a, b = np.reshape(row, (2, -1))
-    return "".join(_BITS_TO_CHAR[int(x), int(z)] for x, z in zip(a, b))
+    return (a + 2 * b).astype(np.uint8).tobytes().translate(_TO_LETTER).decode()
 
 
 def symplectic_product_rows(rows: np.ndarray) -> np.ndarray:

@@ -569,15 +569,20 @@ def test_coset_leader_fills_match_pattern_sweep(g):
             by_search = weights, lincode._leader_counts(cols, weights)
             by_codewords = lincode._leaders_by_codewords(codeword_table(g), cols, g.n, nk)
             got_hist = correctable_weight_histogram(g)
-        # each fill keeps the width it computes: int8 weights, and counts in
-        # the grid's narrow unsigned dtype or the search's int64
-        assert by_search[1].dtype == np.int64 and by_codewords[1].dtype == narrow
-        assert table.count.dtype in (np.int64, narrow)
+        # both fills give int8 weights and counts in the narrowest unsigned
+        # dtype that holds 2^k, the size of a coset
         for got_w, got_c in ((table.min_weight, table.count), by_search, by_codewords):
-            assert got_w.dtype == np.int8
+            assert got_w.dtype == np.int8 and got_c.dtype == narrow
             assert np.array_equal(got_w, minw)
             assert np.array_equal(got_c, count)
         assert got_hist.dtype == np.int64 and np.array_equal(got_hist, hist)
+
+
+def test_search_fill_counts_of_k_past_63_are_uint64():
+    # 2^69 has no unsigned dtype; the 64-bit guard keeps every count below 2^63
+    g = GeneratorMatrix(np.hstack([np.eye(69, dtype=np.uint8), np.ones((69, 1), np.uint8)]))
+    table = coset_leaders(g)
+    assert table.count.dtype == np.uint64 and table.count.tolist() == [1, 70]
 
 
 def test_exact_channel_peaks_below_four_bytes_per_syndrome():

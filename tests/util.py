@@ -13,7 +13,7 @@ import numpy as np
 
 from stab2lin import _kernels, gf2, stabilizer
 from stab2lin.lincode import GeneratorMatrix, codeword_table
-from stab2lin.pauli import symplectic_product_rows
+from stab2lin.pauli import PauliParseError, symplectic_product_rows
 from stab2lin.stabilizer import (
     COLUMN_ADDITION,
     COLUMN_SWITCH,
@@ -393,6 +393,29 @@ def in_rowspan(m_rref: gf2.RrefResult, v: np.ndarray) -> bool:
     return not v.any()
 
 
+_BITS_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_CHAR_TO_BITS = {c: bits for bits, ch in _BITS_TO_CHAR.items() for c in (ch, ch.lower())}
+
+
+def reference_parse_pauli(text: str) -> np.ndarray:
+    """Reference for ``parse_pauli``: one dict lookup per character."""
+    if text.startswith("+"):
+        text = text[1:]
+    if not text:
+        raise PauliParseError("empty Pauli string", 1)
+    bits = [_CHAR_TO_BITS.get(ch) for ch in text]
+    if None in bits:
+        i = bits.index(None)
+        raise PauliParseError(f"invalid symbol {text[i]!r}", i + 1)
+    return np.array(bits, dtype=np.uint8).T.reshape(-1)
+
+
+def reference_pauli_string(row: np.ndarray) -> str:
+    """Reference for ``pauli_string``: one dict lookup per position."""
+    a, b = np.reshape(row, (2, -1))
+    return "".join(_BITS_TO_CHAR[int(x), int(z)] for x, z in zip(a, b))
+
+
 def pauli_weight_rows(rows: np.ndarray) -> np.ndarray:
     """Pauli weight of each 2n-bit row."""
     rows = gf2.as_bits(rows, copy=False)
@@ -400,23 +423,29 @@ def pauli_weight_rows(rows: np.ndarray) -> np.ndarray:
     return np.count_nonzero(rows[:, :n] | rows[:, n:], axis=1)
 
 
-def reference_logical_algebra_ok(sf: StandardForm) -> bool:
-    """Reference for ``verify_logical_algebra``: G+L and G+N each commute
-    pairwise and have rank n, and N_i, L_j anticommute exactly when i = j,
-    checked set by set with ``gf2.rank``.  Reads the logical operators
-    through the ``stabilizer`` module, so a test may patch them."""
-    gens = sf.matrix
-    lops = stabilizer.logical_phase_ops(sf)
-    nops = stabilizer.logical_bit_ops(sf)
-    n = sf.n
-    gl = np.vstack([gens, lops])
-    gn = np.vstack([gens, nops])
-    commuting = not symplectic_product_rows(gl).any() and not symplectic_product_rows(gn).any()
-    independent = gf2.rank(gl) == n and gf2.rank(gn) == n
-    na, nb = nops[:, :n], nops[:, n:]
-    la, lb = lops[:, :n], lops[:, n:]
-    prods = gf2.mat_mul(na, lb.T) ^ gf2.mat_mul(nb, la.T)
-    return commuting and independent and np.array_equal(prods, np.eye(sf.k, dtype=np.uint8))
+def logical_algebra_failures(sf: StandardForm) -> list[str]:
+    """The whole check that ``verify_logical_algebra``'s docstring reduces to
+    the generators' block: one symplectic Gram matrix over [G; L; N], every
+    entry 0 but the L-N and N-L blocks, which must be I_k.  Each wrong entry
+    above the diagonal is named as the production report names a G-G pair.
+    Where the pattern holds, G+L and G+N are asserted to have rank n, the
+    independence the docstring derives from it.  Reads the logical
+    operators through the ``stabilizer`` module, so a test may patch them."""
+    m, k = sf.m, sf.k
+    lops, nops = stabilizer.logical_phase_ops(sf), stabilizer.logical_bit_ops(sf)
+    gram = symplectic_product_rows(np.vstack([sf.matrix, lops, nops]))
+    expected = np.zeros_like(gram)
+    expected[m : m + k, m + k :] = expected[m + k :, m : m + k] = np.eye(k, dtype=np.uint8)
+    names = [f"G_{i + 1}" for i in range(m)]
+    names += [f"{op}_{j + 1}" for op in "LN" for j in range(k)]
+    failures = [
+        f"{names[i]}, {names[j]} {'commute' if expected[i, j] else 'anticommute'}"
+        for i, j in np.argwhere(np.triu(gram ^ expected, 1))
+    ]
+    if not failures:
+        for logicals in (lops, nops):
+            assert gf2.rank(np.vstack([sf.matrix, logicals])) == sf.n
+    return failures
 
 
 def bfs_ensure_r(code: StabilizerCode, max_depth: int):
